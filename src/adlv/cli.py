@@ -3,8 +3,10 @@
 Exit codes: 0 ok, 2 usage or configuration problem, 3 integrity failure,
 4 property violation in a sweep, 5 search budget exhausted.  The class
 polynomial disk cache is a one-line JSON header followed by one JSON record
-per element; a header mismatch ignores the cache entirely.  The environment
-variable ``ADLV_CACHE`` overrides ``--cache``.
+per element; a header mismatch ignores the cache entirely, and a record
+that does not parse as an object with a string ``element`` and an object
+``table`` is skipped.  The environment variable ``ADLV_CACHE`` overrides
+``--cache``.
 """
 
 from __future__ import annotations
@@ -144,6 +146,12 @@ class TableCache:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
+                continue
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("element"), str)
+                and isinstance(record.get("table"), dict)
+            ):
                 continue
             self.loaded[record["element"]] = record["table"]
             self._preexisting.add(record["element"])

@@ -189,15 +189,23 @@ def is_straight(x: ExtAffElt, delta: DiagramAut | None = None) -> bool:
 
 
 def _moves(x: ExtAffElt, delta: DiagramAut, with_omega: bool = True):
-    """Deterministic stream of (token, image) twisted-conjugation moves."""
+    """Deterministic stream of (move, image) twisted-conjugation moves.
+
+    The move is the label of a simple reflection or a length-0 element;
+    ``_move_token`` names it for a trace.
+    """
     refl = simple_reflections(x.datum)
     for lab, s in refl.items():
-        yield str(lab), s * x * refl[delta.on_label(lab)]
+        yield lab, s * x * refl[delta.on_label(lab)]
     if with_omega:
         for tau in omega_group(x.datum):
             if tau.is_identity:
                 continue
-            yield tau_token(tau), tau * x * delta(tau).inverse()
+            yield tau, tau * x * delta(tau).inverse()
+
+
+def _move_token(move) -> str:
+    return str(move) if isinstance(move, int) else tau_token(move)
 
 
 def reduce_to_minimal(
@@ -243,11 +251,12 @@ def reduce_to_minimal(
                 if z.length == y.length:
                     if z not in seen:
                         seen[z] = None
-                        parents.setdefault(z, (y, move))
+                        if z not in parents:
+                            parents[z] = (y, _move_token(move))
                         queue.append(z)
                 elif z.length < y.length:
                     if z not in parents:
-                        parents[z] = (y, move)
+                        parents[z] = (y, _move_token(move))
                         drops.append(z)
         if not drops:
             # first element of the level: the input itself when it was
@@ -551,20 +560,14 @@ def min2_decompose(
 
 
 def _length_in_levi(x: ExtAffElt, J) -> int:
-    """Length of x inside P x W_J, computed over the roots spanned by J."""
+    """Length of x inside P x W_J: the length sum restricted to roots spanned by J."""
     datum = x.datum
     J0 = {j - 1 for j in J}
-    total = 0
-    for a in datum.positive_roots:
-        if any(a[i] != 0 and i not in J0 for i in range(datum.rank)):
-            continue
-        pairing = dot(a, x.mu)
-        b = x.w.inverse_root_action(a)
-        if any(c < 0 for c in b):
-            total += abs(pairing - 1)
-        else:
-            total += abs(pairing)
-    return total
+    return sum(
+        abs(dot(a, x.mu) - neg)
+        for a, neg in zip(datum.positive_roots, x.w.neg_flags)
+        if all(a[i] == 0 or i in J0 for i in range(datum.rank))
+    )
 
 
 def _levi_components(datum: RootDatum, J):

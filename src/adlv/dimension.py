@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import IntegrityError
@@ -20,11 +21,13 @@ from .elements import (
     DiagramAut,
     ExtAffElt,
     coerce_delta,
+    double_coset_form,
     element_literal,
     eta_delta,
     from_weyl,
     is_lowest_cell,
     omega_group,
+    omega_conjugation_perm,
     simple_reflections,
     supp_delta,
     translation,
@@ -67,7 +70,14 @@ def _as_number(x):
 
 @dataclass(frozen=True)
 class BElement:
-    """A sigma-conjugacy class, held as its combinatorial invariant."""
+    """A sigma-conjugacy class, held as its combinatorial invariant.
+
+    ``is_basic`` and the defect of a basic class depend only on the class, so
+    each is computed once per instance and kept (``functools.cached_property``
+    stores it in the instance dict, outside the dataclass fields, so ``==`` and
+    ``hash`` are unchanged).  A computation that raises is not cached.  Use
+    ``defect_basic``, which checks its inputs on every call, to read the defect.
+    """
 
     datum: RootDatum
     delta_perm: tuple[int, ...]
@@ -119,7 +129,7 @@ class BElement:
     def newton_pairing_2rho(self) -> Fraction:
         return Fraction(dot(self.datum.rho2, self.newton))
 
-    @property
+    @cached_property
     def is_basic(self) -> bool:
         """Newton vector matches the length-0 class with the same Kottwitz class."""
         delta = self.delta
@@ -128,6 +138,49 @@ class BElement:
                 tau_value = dot(self.datum.rho2, newton_point(tau, delta))
                 return self.newton_pairing_2rho == tau_value
         raise IntegrityError("no length-0 element matches the Kottwitz class")
+
+    @cached_property
+    def _defect(self) -> int:
+        """The twisted-Coxeter defect search of ``defect_basic``, unchecked."""
+        datum = self.datum
+        delta = self.delta
+        tau = None
+        for cand in omega_group(datum):
+            if invariant_f(cand, delta) == self.descriptor:
+                tau = cand
+                break
+        if tau is None:
+            raise ValueError("no length-0 representative matches the class")
+        phi = _ad_delta_perm(tau, delta)
+        refl = simple_reflections(datum)
+        lengths = set()
+        for removed in _perm_orbits(phi):
+            J = [lab for lab in phi if lab not in removed]
+            choices = _perm_orbits({j: phi[j] for j in J})
+            for reps in itertools.product(*choices):
+                for order in itertools.permutations(reps):
+                    c = from_weyl(datum.identity_weyl)
+                    for lab in order:
+                        c = c * refl[lab]
+                    if c.length != len(order):
+                        raise IntegrityError("twisted Coxeter word is not reduced")
+                    ctau = c * tau
+                    if invariant_f(ctau, delta) != self.descriptor:
+                        continue
+                    if not is_minimal_in_class(ctau, delta):
+                        continue
+                    lengths.add(c.length)
+                    break
+                else:
+                    continue
+                break
+        if not lengths:
+            raise IntegrityError("no twisted Coxeter element matches the basic class")
+        if len(lengths) != 1:
+            raise IntegrityError(f"twisted Coxeter lengths disagree: {sorted(lengths)}")
+        finite = range(1, datum.rank + 1)
+        n = len(_perm_orbits({i: delta.on_label(i) for i in finite}))
+        return n - lengths.pop()
 
 
 @dataclass(frozen=True)
@@ -262,7 +315,7 @@ def dim_grassmannian(
         best = EMPTY
         for elt in _double_coset(datum, mu):
             r = dim_adlv(elt, b, delta, engine=engine)
-            x_w, _, _ = _coset_coords(elt)
+            x_w, _, _ = double_coset_form(elt)
             limit = report.dim - l0 + x_w.length
             if not (r.dim == EMPTY or r.dim <= limit):
                 raise IntegrityError(
@@ -289,12 +342,6 @@ def dim_grassmannian(
     )
 
 
-def _coset_coords(elt: ExtAffElt):
-    from .elements import double_coset_form
-
-    return double_coset_form(elt)
-
-
 # ---------------------------------------------------------------------------
 # The nonemptiness criterion on the Grassmannian
 
@@ -306,21 +353,6 @@ def _levi_kappa_quotient(datum: RootDatum, J, delta: DiagramAut) -> LatticeQuoti
         de = delta.on_coweight(e)
         gens.append(tuple(a - b for a, b in zip(e, de)))
     return LatticeQuotient(datum.rank, gens)
-
-
-def _delta_orbits(labels, delta: DiagramAut):
-    labels = set(labels)
-    out = []
-    while labels:
-        seed = min(labels)
-        orbit = {seed}
-        j = delta.on_label(seed)
-        while j != seed:
-            orbit.add(j)
-            j = delta.on_label(j)
-        out.append(tuple(sorted(orbit)))
-        labels -= orbit
-    return out
 
 
 def mazur_check(
@@ -357,8 +389,8 @@ def mazur_check(
     quotient = _levi_kappa_quotient(datum, J, delta)
     diff = tuple(a - b for a, b in zip(mu, levi_rep.mu))
     target = quotient.reduce(diff)
-    orbits = _delta_orbits(
-        [i for i in range(1, datum.rank + 1) if i not in J], delta
+    orbits = _perm_orbits(
+        {i: delta.on_label(i) for i in range(1, datum.rank + 1) if i not in J}
     )
     gens = [quotient.reduce(datum.simple_coroots[o[0] - 1]) for o in orbits]
     orders = [quotient.order_of(datum.simple_coroots[o[0] - 1]) for o in orbits]
@@ -448,13 +480,12 @@ def _solve_exact(rows, rhs):
 
 def _ad_delta_perm(tau: ExtAffElt, delta: DiagramAut) -> dict[int, int]:
     """The permutation of S~ labels given by s -> tau * delta(s) * tau^{-1}."""
-    from .elements import omega_conjugation_perm
-
     conj = omega_conjugation_perm(tau)
     return {lab: conj[delta.on_label(lab)] for lab in conj}
 
 
 def _perm_orbits(perm: dict[int, int]):
+    """Orbits of a permutation given as a dict, each sorted, by least member."""
     labels = set(perm)
     out = []
     while labels:
@@ -477,6 +508,9 @@ def defect_basic(b: BElement, delta: DiagramAut | None = None) -> int:
     a twisted Coxeter element c with c tau minimal in its class and carrying
     the invariant of b; the defect is the number of delta-orbits on the
     finite labels minus len(c), and all successful choices must agree.
+
+    The search runs once per ``BElement`` and is kept on it; the checks on
+    the type, the twist and basicness run on every call.
     """
     datum = b.datum
     if len(datum.components) != 1:
@@ -486,44 +520,7 @@ def defect_basic(b: BElement, delta: DiagramAut | None = None) -> int:
         raise ValueError("b was formed for a different twist")
     if not b.is_basic:
         raise ValueError("defect search needs a basic class")
-    tau = None
-    for cand in omega_group(datum):
-        if invariant_f(cand, delta) == b.descriptor:
-            tau = cand
-            break
-    if tau is None:
-        raise ValueError("no length-0 representative matches the class")
-    phi = _ad_delta_perm(tau, delta)
-    orbits = _perm_orbits(phi)
-    refl = simple_reflections(datum)
-    lengths = set()
-    for removed in orbits:
-        J = [lab for lab in phi if lab not in removed]
-        sub_orbits = _perm_orbits({j: phi[j] for j in J}) if J else []
-        choices = [orb for orb in sub_orbits]
-        for reps in itertools.product(*choices) if choices else [()]:
-            for order in itertools.permutations(reps):
-                c = from_weyl(datum.identity_weyl)
-                for lab in order:
-                    c = c * refl[lab]
-                if c.length != len(order):
-                    raise IntegrityError("twisted Coxeter word is not reduced")
-                ctau = c * tau
-                if invariant_f(ctau, delta) != b.descriptor:
-                    continue
-                if not is_minimal_in_class(ctau, delta):
-                    continue
-                lengths.add(c.length)
-                break
-            else:
-                continue
-            break
-    if not lengths:
-        raise IntegrityError("no twisted Coxeter element matches the basic class")
-    if len(lengths) != 1:
-        raise IntegrityError(f"twisted Coxeter lengths disagree: {sorted(lengths)}")
-    n = len(_delta_orbits(range(1, datum.rank + 1), delta))
-    return n - lengths.pop()
+    return b._defect
 
 
 def virtual_dimension(

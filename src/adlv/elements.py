@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import mul
 
 from .errors import ConfigError, IntegrityError
-from .lattices import dot
-from .roots import FiniteWeylElt, RootDatum, dominant_rep, in_parabolic
+from .roots import FiniteWeylElt, RootDatum, dominant_rep
 
 __all__ = [
     "ExtAffElt",
@@ -112,16 +112,13 @@ class ExtAffElt:
 
     @property
     def length(self) -> int:
+        """Sum over positive roots a of |<a, mu> - [w^{-1}(a) < 0]|."""
         if self._length is None:
-            total = 0
-            for a in self.datum.positive_roots:
-                pairing = dot(a, self.mu)
-                b = self.w.inverse_root_action(a)
-                if any(c < 0 for c in b):
-                    total += abs(pairing - 1)
-                else:
-                    total += abs(pairing)
-            self._length = total
+            mu = self.mu
+            self._length = sum(
+                abs(sum(map(mul, a, mu)) - neg)
+                for a, neg in zip(self.datum.positive_roots, self.w.neg_flags)
+            )
         return self._length
 
 
@@ -670,11 +667,6 @@ def is_lowest_cell(x: ExtAffElt) -> bool:
                     queue.append(zt)
     _LOWEST_CELL_CACHE[x] = out
     return out
-
-
-def finite_part_in(x: ExtAffElt, J) -> bool:
-    """True when the finite part of x lies in W_J (J finite labels)."""
-    return in_parabolic(x.w, J)
 
 
 # ---------------------------------------------------------------------------

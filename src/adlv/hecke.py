@@ -268,6 +268,9 @@ class ClassPolyEngine:
     the same-length orbit; the default takes the first in deterministic BFS
     order (labels ascending, then length-0 twists).  A randomized chooser
     exercises a different but provably equivalent recursion path.
+
+    ``budget`` caps the nodes of each orbit search; ``nodes`` is the total
+    over all searches of the engine.
     """
 
     def __init__(self, datum: RootDatum, delta: DiagramAut | None = None,
@@ -287,10 +290,12 @@ class ClassPolyEngine:
         seen = {x: None}
         queue = [x]
         options = []
+        nodes = 0
         while queue:
             y = queue.pop(0)
+            nodes += 1
             self.nodes += 1
-            if self.nodes > self.budget:
+            if nodes > self.budget:
                 raise BudgetError(
                     f"class polynomial search exceeded the {self.budget}-node budget"
                 )

@@ -101,16 +101,22 @@ class FiniteWeylElt:
     The canonical form is the integer matrix of the action on the coweight
     lattice in fundamental-coweight coordinates; instances are interned per
     root datum, so equal elements are identical objects.
+
+    Two per-element caches are filled lazily: a product memo mapping each
+    right factor already seen to ``self * other`` (only the pairs actually
+    multiplied, never all of W x W), and ``neg_flags``, from which ``length``
+    here and ``ExtAffElt.length`` are read without touching the matrix again.
     """
 
-    __slots__ = ("datum", "mat", "_hash", "_inv", "_length", "_word")
+    __slots__ = ("datum", "mat", "_hash", "_inv", "_neg", "_prod", "_word")
 
     def __init__(self, datum, mat):
         self.datum = datum
         self.mat = mat
         self._hash = hash((datum.label, mat))
         self._inv = None
-        self._length = None
+        self._neg = None
+        self._prod = {}
         self._word = None
 
     def __eq__(self, other):
@@ -140,11 +146,15 @@ class FiniteWeylElt:
         return vec_mat(a, self.inverse().mat)
 
     def __mul__(self, other):
-        if not isinstance(other, FiniteWeylElt):
-            return NotImplemented
-        if self.datum is not other.datum:
-            raise ValueError("elements belong to different root data")
-        return self.datum.weyl_from_matrix(mat_mul(self.mat, other.mat))
+        prod = self._prod.get(other)
+        if prod is None:
+            if not isinstance(other, FiniteWeylElt):
+                return NotImplemented
+            if self.datum is not other.datum:
+                raise ValueError("elements belong to different root data")
+            prod = self.datum.weyl_from_matrix(mat_mul(self.mat, other.mat))
+            self._prod[other] = prod
+        return prod
 
     def inverse(self):
         if self._inv is None:
@@ -154,15 +164,18 @@ class FiniteWeylElt:
         return self._inv
 
     @property
+    def neg_flags(self) -> tuple[int, ...]:
+        """1 where w^{-1} sends the positive root (datum order) to a negative one."""
+        if self._neg is None:
+            self._neg = tuple(
+                1 if any(c < 0 for c in self.inverse_root_action(a)) else 0
+                for a in self.datum.positive_roots
+            )
+        return self._neg
+
+    @property
     def length(self) -> int:
-        if self._length is None:
-            neg = 0
-            for a in self.datum.positive_roots:
-                b = self.inverse_root_action(a)
-                if any(c < 0 for c in b):
-                    neg += 1
-            self._length = neg
-        return self._length
+        return sum(self.neg_flags)
 
     @property
     def is_identity(self) -> bool:

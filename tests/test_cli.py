@@ -165,6 +165,18 @@ def test_cache_header_mismatch_ignored(tmp_path, capsys):
     assert json.loads(out)["dim"] == 2  # stale record was not trusted
 
 
+def test_cache_malformed_record_skipped(tmp_path, capsys):
+    args = ("dim", "--type", "A2", "--w", "s1", "--b", "unit")
+    _, cold, _ = run(capsys, *args)
+    cache = tmp_path / "tables.jsonl"
+    run(capsys, *args, "--cache", str(cache))
+    header = cache.read_text().splitlines()[0]
+    cache.write_text(header + '\n{"element": "t[0,0]"}\n')
+    code, out, _ = run(capsys, *args, "--cache", str(cache))
+    assert code == 0
+    assert out == cold
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "env-cache.jsonl"
     monkeypatch.setenv("ADLV_CACHE", str(cache))
@@ -181,6 +193,14 @@ def test_budget_exit_code(capsys):
     )
     assert code == 5
     assert "budget" in err
+
+
+def test_budget_is_per_search(capsys):
+    args = ("sweep", "--type", "A2", "--max-length", "8", "--check", "ghkr")
+    _, full, _ = run(capsys, *args)
+    code, out, _ = run(capsys, *args, "--budget", "300")
+    assert code == 0
+    assert out == full
 
 
 def test_usage_error(capsys):

@@ -104,6 +104,14 @@ def test_defect_fixtures(a1, a2):
         defect_basic(BElement.unit(build_root_datum("A1xA1")))
 
 
+def test_cached_defect_still_checks_twist(a2):
+    b = BElement.unit(a2)
+    assert defect_basic(b) == 0
+    assert "_defect" in vars(b)
+    with pytest.raises(ValueError):
+        defect_basic(b, (2, 1))
+
+
 def test_virtual_dimension_fixtures(a1):
     unit = BElement.unit(a1)
     assert virtual_dimension(parse_element(a1, "w[0 1 0]"), unit) == 2

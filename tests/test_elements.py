@@ -108,7 +108,9 @@ def test_length_fixtures():
             assert tau.length == 0
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "B3", "C2", "G2", "A2xA2"])
+@pytest.mark.parametrize(
+    "label", ["A1", "A2", "A3", "B3", "C2", "C3", "G2", "D5", "E6", "A2xA2"]
+)
 def test_length_matches_hyperplane_count(label):
     datum = build_root_datum(label)
     rng = random.Random(label)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from adlv.errors import ConfigError
+from adlv.lattices import mat_mul
 from adlv.roots import (
     build_root_datum,
     dominant_rep,
@@ -190,3 +191,23 @@ def test_longest_element():
         assert w0.length == length == len(datum.positive_roots)
         assert (w0 * w0).is_identity
         assert w0.coweight_action((1,) * datum.rank) == (-1,) * datum.rank
+
+
+def _random_weyl(datum, rng, n=12):
+    w = datum.identity_weyl
+    for _ in range(n):
+        w = w * datum.simple_weyl(rng.randrange(1, datum.rank + 1))
+    return w
+
+
+def test_memoised_product_is_interned_matrix_product():
+    b3 = build_root_datum("B3")
+    group = weyl_group(b3)
+    e6 = build_root_datum("E6")
+    rng = random.Random(6)
+    pairs = [(u, v) for u in group for v in group]
+    pairs += [(_random_weyl(e6, rng), _random_weyl(e6, rng)) for _ in range(200)]
+    for u, v in pairs:
+        expected = u.datum.weyl_from_matrix(mat_mul(u.mat, v.mat))
+        assert u * v is expected
+        assert u * v is expected  # second call is served by the memo
