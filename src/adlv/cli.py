@@ -5,7 +5,8 @@ Exit codes: 0 ok, 2 usage or configuration problem, 3 integrity failure,
 polynomial disk cache is a one-line JSON header followed by one JSON record
 per element; a header mismatch ignores the cache entirely, and a record
 that does not parse as an object with a string ``element`` and an object
-``table`` is skipped.  The environment variable ``ADLV_CACHE`` overrides
+``table`` is skipped.  The tables finished before a run exhausts its budget
+are saved too.  The environment variable ``ADLV_CACHE`` overrides
 ``--cache``.
 """
 
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -163,6 +165,20 @@ class TableCache:
                 key: XiPoly.from_jsonable(val) for key, val in table.items()
             }
 
+    @contextmanager
+    def saving(self, engine: ClassPolyEngine):
+        """Save the engine's tables when the block ends or runs out of budget.
+
+        ``engine.memo`` holds finished tables only, so they stay valid after a
+        ``BudgetError``; any other failure saves nothing.
+        """
+        try:
+            yield
+        except BudgetError:
+            self.save(engine)
+            raise
+        self.save(engine)
+
     def save(self, engine: ClassPolyEngine):
         if not self.path:
             return
@@ -248,16 +264,16 @@ def cmd_dim(args) -> int:
     cache = TableCache(config.cache, datum, delta)
     engine = ClassPolyEngine(datum, delta, budget=config.budget)
     cache.preload(engine)
-    if args.emit_trace:
-        _, trace = reduce_to_minimal(w, delta, budget=config.budget)
-        for line in trace.format_lines():
-            sys.stdout.write(line + "\n")
-    report = dim_adlv(w, b, delta, engine=engine)
-    if b.is_basic and kottwitz_class(w, delta) == b.kappa:
-        report.virtual_dim = virtual_dimension(w, b, delta, defect=args.defect)
-    elif args.defect is not None and kottwitz_class(w, delta) == b.kappa:
-        report.virtual_dim = virtual_dimension(w, b, delta, defect=args.defect)
-    cache.save(engine)
+    with cache.saving(engine):
+        if args.emit_trace:
+            _, trace = reduce_to_minimal(w, delta, budget=config.budget)
+            for line in trace.format_lines():
+                sys.stdout.write(line + "\n")
+        report = dim_adlv(w, b, delta, engine=engine)
+        if b.is_basic and kottwitz_class(w, delta) == b.kappa:
+            report.virtual_dim = virtual_dimension(w, b, delta, defect=args.defect)
+        elif args.defect is not None and kottwitz_class(w, delta) == b.kappa:
+            report.virtual_dim = virtual_dimension(w, b, delta, defect=args.defect)
     if config.fmt == "json":
         json.dump(report.jsonable(), sys.stdout, sort_keys=True)
         sys.stdout.write("\n")
@@ -305,74 +321,80 @@ def cmd_sweep(args) -> int:
     else:
         b_set = [parse_b(datum, delta, tok) for tok in args.b.split(";") if tok]
 
-    if check == "path-independence":
-        out.write("element\tlength\tok\n")
-        for w in _sweep_elements(datum, args.max_length):
-            report = verify_path_independence(
-                w, delta, trials=args.trials, seed=config.seed
-            )
-            ok = report.ok
-            if not ok:
-                violations += 1
-            out.write(f"{element_literal(w)}\t{w.length}\t{'yes' if ok else 'NO'}\n")
-    elif check in ("ghkr", "upper"):
-        out.write("element\tb\tdim\tvirtual\tstatus\n")
-        for w in _sweep_elements(datum, args.max_length):
-            for b in b_set:
-                report = ghkr_check(w, b, delta, engine=engine)
-                status = "skip"
-                if check == "ghkr":
-                    if report.equality_applicable:
-                        status = "equal" if report.equality_holds else "VIOLATION"
-                elif report.upper_applicable:
-                    status = "ok" if report.upper_holds else "VIOLATION"
-                if status == "VIOLATION":
-                    violations += 1
-                if status == "skip":
-                    skipped += 1
-                dim = "EMPTY" if report.dim == EMPTY else _fraction_str(report.dim)
-                virt = "-" if report.virtual is None else _fraction_str(report.virtual)
-                out.write(
-                    f"{element_literal(w)}\t{b.label}\t{dim}\t{virt}\t{status}\n"
+    with cache.saving(engine):
+        if check == "path-independence":
+            out.write("element\tlength\tok\n")
+            for w in _sweep_elements(datum, args.max_length):
+                report = verify_path_independence(
+                    w, delta, trials=args.trials, seed=config.seed, engine=engine
                 )
-    elif check == "mazur":
-        out.write("mu\tb\tmazur\tnonempty\tstatus\n")
-        J = tuple(range(1, datum.rank + 1))
-        for mu in _dominant_box(datum, args.max_length):
-            for b in b_set:
-                tau = parse_element(datum, b.label)
-                claim = mazur_check(mu, tau, J, delta)
-                truth = dim_grassmannian(
-                    mu, b, delta, engine=engine, cross_check=False
-                ).nonempty
-                ok = claim == truth
+                ok = report.ok
                 if not ok:
                     violations += 1
                 out.write(
-                    f"{list(mu)}\t{b.label}\t{claim}\t{truth}\t"
-                    f"{'ok' if ok else 'VIOLATION'}\n"
+                    f"{element_literal(w)}\t{w.length}\t{'yes' if ok else 'NO'}\n"
                 )
-    elif check == "closed-form":
-        out.write("mu\tb\tdim\tclosed_form\tstatus\n")
-        for mu in _dominant_box(datum, args.max_length):
-            for b in b_set:
-                report = dim_grassmannian(mu, b, delta, engine=engine)
-                closed = _grassmannian_closed_form(datum, mu, b, delta)
-                ok = (report.dim == EMPTY and closed is None) or (
-                    report.dim != EMPTY and closed is not None and report.dim == closed
-                )
-                if not ok:
-                    violations += 1
-                dim = "EMPTY" if report.dim == EMPTY else _fraction_str(report.dim)
-                out.write(
-                    f"{list(mu)}\t{b.label}\t{dim}\t"
-                    f"{'-' if closed is None else _fraction_str(closed)}\t"
-                    f"{'ok' if ok else 'VIOLATION'}\n"
-                )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown check {check!r}")
+        elif check in ("ghkr", "upper"):
+            out.write("element\tb\tdim\tvirtual\tstatus\n")
+            for w in _sweep_elements(datum, args.max_length):
+                for b in b_set:
+                    report = ghkr_check(w, b, delta, engine=engine)
+                    status = "skip"
+                    if check == "ghkr":
+                        if report.equality_applicable:
+                            status = "equal" if report.equality_holds else "VIOLATION"
+                    elif report.upper_applicable:
+                        status = "ok" if report.upper_holds else "VIOLATION"
+                    if status == "VIOLATION":
+                        violations += 1
+                    if status == "skip":
+                        skipped += 1
+                    dim = "EMPTY" if report.dim == EMPTY else _fraction_str(report.dim)
+                    virt = (
+                        "-" if report.virtual is None else _fraction_str(report.virtual)
+                    )
+                    out.write(
+                        f"{element_literal(w)}\t{b.label}\t{dim}\t{virt}\t{status}\n"
+                    )
+        elif check == "mazur":
+            out.write("mu\tb\tmazur\tnonempty\tstatus\n")
+            J = tuple(range(1, datum.rank + 1))
+            for mu in _dominant_box(datum, args.max_length):
+                for b in b_set:
+                    tau = parse_element(datum, b.label)
+                    claim = mazur_check(mu, tau, J, delta)
+                    truth = dim_grassmannian(
+                        mu, b, delta, engine=engine, cross_check=False
+                    ).nonempty
+                    ok = claim == truth
+                    if not ok:
+                        violations += 1
+                    out.write(
+                        f"{list(mu)}\t{b.label}\t{claim}\t{truth}\t"
+                        f"{'ok' if ok else 'VIOLATION'}\n"
+                    )
+        elif check == "closed-form":
+            out.write("mu\tb\tdim\tclosed_form\tstatus\n")
+            for mu in _dominant_box(datum, args.max_length):
+                for b in b_set:
+                    report = dim_grassmannian(mu, b, delta, engine=engine)
+                    closed = _grassmannian_closed_form(datum, mu, b, delta)
+                    ok = (report.dim == EMPTY and closed is None) or (
+                        report.dim != EMPTY
+                        and closed is not None
+                        and report.dim == closed
+                    )
+                    if not ok:
+                        violations += 1
+                    dim = "EMPTY" if report.dim == EMPTY else _fraction_str(report.dim)
+                    out.write(
+                        f"{list(mu)}\t{b.label}\t{dim}\t"
+                        f"{'-' if closed is None else _fraction_str(closed)}\t"
+                        f"{'ok' if ok else 'VIOLATION'}\n"
+                    )
+        else:  # pragma: no cover - argparse restricts choices
+            raise ConfigError(f"unknown check {check!r}")
 
-    cache.save(engine)
     out.write(f"# skipped: {skipped}\n")
     out.write(f"# violations: {violations}\n")
     return EXIT_OK if violations == 0 else EXIT_VIOLATIONS

@@ -239,8 +239,7 @@ def reduce_to_minimal(
         seen = {y: None for y in level}
         queue = list(level)
         drops: list[ExtAffElt] = []
-        while queue:
-            y = queue.pop(0)
+        for y in queue:  # also visits what the loop appends
             nodes += 1
             if nodes > budget:
                 raise BudgetError(
@@ -273,8 +272,7 @@ def is_minimal_in_class(x: ExtAffElt, delta: DiagramAut | None = None,
     seen = {x: None}
     queue = [x]
     nodes = 0
-    while queue:
-        y = queue.pop(0)
+    for y in queue:  # also visits what the loop appends
         nodes += 1
         if nodes > budget:
             raise BudgetError(f"minimality test exceeded the {budget}-node budget")
@@ -523,8 +521,7 @@ def min2_decompose(
         ),
         key=lambda J: (len(J), J),
     )
-    while queue:
-        y = queue.pop(0)
+    for y in queue:  # also visits what the loop appends
         nodes += 1
         if nodes > budget:
             raise BudgetError(f"decomposition exceeded the {budget}-node budget")
@@ -802,8 +799,7 @@ def partial_reduce(
         seen = {y: None for y in level}
         queue = list(level)
         drops = []
-        while queue:
-            y = queue.pop(0)
+        for y in queue:  # also visits what the loop appends
             nodes += 1
             if nodes > budget:
                 raise BudgetError(

@@ -650,8 +650,7 @@ def is_lowest_cell(x: ExtAffElt) -> bool:
         omegas = [t for t in omega_group(datum) if not t.is_identity]
         seen = {x: None}
         queue = [x]
-        while queue:
-            z = queue.pop(0)
+        for z in queue:  # also visits what the loop appends
             if all((z * refl[i]).length < z.length for i in finite):
                 out = True
                 break

@@ -271,6 +271,17 @@ class ClassPolyEngine:
 
     ``budget`` caps the nodes of each orbit search; ``nodes`` is the total
     over all searches of the engine.
+
+    Two memos hold the engine's work.  ``memo`` maps an element to its
+    finished table.  The move memo maps each element an orbit search has
+    visited to its move expansion, computed with group products once: the
+    labels ``i`` whose twisted conjugation ``s_i y s_delta(i)`` is shorter
+    than y, and the same-length neighbours of y under simple and length-0
+    moves, both in search order.  The searches replay it, so options, their
+    order and node counts do not depend on how warm it is.  ``fork(choose)``
+    gives an engine with another chooser that shares the move memo and the
+    budget but starts with an empty ``memo``.  Both memos live on the engine
+    and its forks, so dropping them frees the memory.
     """
 
     def __init__(self, datum: RootDatum, delta: DiagramAut | None = None,
@@ -281,37 +292,54 @@ class ClassPolyEngine:
         self.budget = budget
         self.nodes = 0
         self.memo: dict[ExtAffElt, dict[str, XiPoly]] = {}
+        self._moves: dict[ExtAffElt, tuple] = {}  # see _expand
+
+    def fork(self, choose=None) -> "ClassPolyEngine":
+        """An engine with its own chooser and tables, sharing moves and budget."""
+        other = ClassPolyEngine(self.datum, self.delta, choose, self.budget)
+        other._moves = self._moves
+        return other
+
+    def _expand(self, y: ExtAffElt):
+        """(drop labels, same-length neighbours) of y, from the move memo."""
+        found = self._moves.get(y)
+        if found is None:
+            delta = self.delta
+            refl = simple_reflections(self.datum)
+            n = y.length
+            drops = []
+            same = []
+            for lab, s in refl.items():
+                z = s * y * refl[delta.on_label(lab)]
+                if z.length < n:
+                    drops.append(lab)
+                elif z.length == n:
+                    same.append(z)
+            for tau in omega_group(self.datum):
+                if not tau.is_identity:
+                    same.append(tau * y * delta(tau).inverse())
+            found = self._moves[y] = (tuple(drops), tuple(same))
+        return found
 
     def _descent_options(self, x: ExtAffElt, first_only: bool):
         """Pairs (w1, label) with w1 in the same-length orbit, conjugation drops."""
-        delta = self.delta
-        refl = simple_reflections(self.datum)
-        omegas = [t for t in omega_group(self.datum) if not t.is_identity]
-        seen = {x: None}
+        seen = {x}
         queue = [x]
         options = []
-        nodes = 0
-        while queue:
-            y = queue.pop(0)
-            nodes += 1
+        for nodes, y in enumerate(queue, 1):  # also visits what the loop appends
             self.nodes += 1
             if nodes > self.budget:
                 raise BudgetError(
                     f"class polynomial search exceeded the {self.budget}-node budget"
                 )
-            for lab, s in refl.items():
-                z = s * y * refl[delta.on_label(lab)]
-                if z.length < y.length:
-                    options.append((y, lab))
-                    if first_only:
-                        return options
-                elif z.length == y.length and z not in seen:
-                    seen[z] = None
-                    queue.append(z)
-            for tau in omegas:
-                z = tau * y * delta(tau).inverse()
+            drops, same = self._expand(y)
+            if drops:
+                if first_only:
+                    return [(y, drops[0])]
+                options.extend((y, lab) for lab in drops)
+            for z in same:
                 if z not in seen:
-                    seen[z] = None
+                    seen.add(z)
                     queue.append(z)
         return options
 
@@ -371,16 +399,23 @@ def verify_path_independence(
     delta: DiagramAut | None = None,
     trials: int = 3,
     seed: int = 0,
+    engine: ClassPolyEngine | None = None,
 ) -> PathIndependenceReport:
-    """Recompute the table under randomized descent choices and compare."""
+    """Recompute the table under randomized descent choices and compare.
+
+    The base table comes from ``engine`` (a fresh one by default).  Each
+    further trial runs on ``engine.fork`` with a seeded random chooser: it
+    shares the move memo and the budget, but none of the base tables.
+    """
     if trials < 2:
         raise ValueError("need at least two trials to compare")
-    base = class_polynomials(x, delta)
+    if engine is None:
+        engine = ClassPolyEngine(x.datum, delta)
+    base = class_polynomials(x, delta, engine=engine)
     divergences = []
     for t in range(1, trials):
         rng = random.Random(f"{seed}:{t}:{element_literal(x)}")
-        engine = ClassPolyEngine(x.datum, delta, choose=rng.choice)
-        other = class_polynomials(x, delta, engine=engine)
+        other = class_polynomials(x, delta, engine=engine.fork(rng.choice))
         if other.entries != base.entries:
             divergences.append(
                 f"trial {t}: {other.entries!r} != {base.entries!r}"

@@ -3,6 +3,9 @@
 import json
 
 from adlv.cli import main
+from adlv.elements import parse_element
+from adlv.hecke import ClassPolyEngine, class_polynomials
+from adlv.roots import build_root_datum
 
 
 def run(capsys, *argv):
@@ -205,3 +208,35 @@ def test_budget_is_per_search(capsys):
 
 def test_usage_error(capsys):
     assert main(["dim", "--type", "A1"]) == 2  # missing required arguments
+
+
+def test_path_independence_obeys_budget(capsys):
+    args = ("sweep", "--type", "A2", "--max-length", "6",
+            "--check", "path-independence")
+    code, _, err = run(capsys, *args, "--budget", "1")
+    assert code == 5
+    assert "budget exhausted" in err
+    _, full, _ = run(capsys, *args)
+    code, out, _ = run(capsys, *args, "--budget", "300")
+    assert code == 0
+    assert out == full
+
+
+def test_cache_kept_when_budget_runs_out(tmp_path, capsys):
+    args = ("sweep", "--type", "A2", "--max-length", "8", "--check", "ghkr")
+    cache = tmp_path / "tables.jsonl"
+    code, _, err = run(capsys, *args, "--budget", "2", "--cache", str(cache))
+    assert code == 5 and "budget exhausted" in err
+    lines = cache.read_text().splitlines()
+    assert json.loads(lines[0])["type"] == "A2"
+    records = [json.loads(line) for line in lines[1:]]
+    assert records
+    a2 = build_root_datum("A2")
+    engine = ClassPolyEngine(a2)
+    for record in records:
+        elt = parse_element(a2, record["element"])
+        assert class_polynomials(elt, engine=engine).jsonable() == record
+    _, cold, _ = run(capsys, *args)
+    code, warm, _ = run(capsys, *args, "--cache", str(cache))
+    assert code == 0
+    assert warm == cold

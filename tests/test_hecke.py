@@ -211,3 +211,115 @@ def test_shared_engine_matches_fresh():
     for n in range(5):
         for w in elements_of_length(a2, n):
             assert engine.table(w) == class_polynomials(w).entries
+
+
+# --- move memo, forks and the cocenter trace ----------------------------------
+
+TWISTS = [("A2", None), ("A2", [2, 1]), ("C2", None)]
+
+
+def _twist(label, images):
+    datum = build_root_datum(label)
+    if images is None:
+        return datum, DiagramAut.identity(datum)
+    return datum, DiagramAut.from_one_based(datum, images)
+
+
+def _reference_descent_options(datum, delta, x, first_only):
+    """The orbit search with group products at every node: (options, nodes)."""
+    refl = simple_reflections(datum)
+    omegas = [t for t in omega_group(datum) if not t.is_identity]
+    seen = {x}
+    queue = [x]
+    options = []
+    nodes = 0
+    for y in queue:
+        nodes += 1
+        for lab, s in refl.items():
+            z = s * y * refl[delta.on_label(lab)]
+            if z.length < y.length:
+                options.append((y, lab))
+                if first_only:
+                    return options, nodes
+            elif z.length == y.length and z not in seen:
+                seen.add(z)
+                queue.append(z)
+        for tau in omegas:
+            z = tau * y * delta(tau).inverse()
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+    return options, nodes
+
+
+@pytest.mark.parametrize("label,images", TWISTS)
+def test_descent_replay_is_exact(label, images):
+    datum, delta = _twist(label, images)
+    elements = [w for n in range(7) for w in elements_of_length(datum, n)]
+    warm = ClassPolyEngine(datum, delta)
+    for w in reversed(elements):
+        warm._descent_options(w, first_only=False)
+    for first_only in (True, False):
+        for w in elements:
+            fresh = ClassPolyEngine(datum, delta)
+            options = fresh._descent_options(w, first_only)
+            before = warm.nodes
+            assert warm._descent_options(w, first_only) == options
+            assert warm.nodes - before == fresh.nodes
+            assert (options, fresh.nodes) == _reference_descent_options(
+                datum, delta, w, first_only
+            )
+
+
+def test_fork_shares_moves_and_budget_not_tables():
+    a2 = build_root_datum("A2")
+    base = ClassPolyEngine(a2, budget=50)
+    base.table(parse_element(a2, "w[0 1 2 0]"))
+    fork = base.fork(random.Random(0).choice)
+    assert base.memo and fork.memo == {}
+    assert fork._moves is base._moves
+    assert fork.budget == 50 and fork.delta is base.delta
+    assert fork.choose is not None and base.choose is None
+
+
+def test_path_independence_trials_do_not_read_base_tables():
+    a2 = build_root_datum("A2")
+    refl = simple_reflections(a2)
+    probe = ClassPolyEngine(a2)
+    x = next(w for w in elements_of_length(a2, 4) if probe._descent_options(w, True))
+    w1, lab = probe._descent_options(x, True)[0]
+    down = refl[lab] * w1  # the first descendant the base recursion reads
+    assert verify_path_independence(x, engine=ClassPolyEngine(a2), trials=3).ok
+    base = ClassPolyEngine(a2)
+    base.memo[down] = {
+        key: poly.shift(2) for key, poly in ClassPolyEngine(a2).table(down).items()
+    }
+    report = verify_path_independence(x, engine=base, trials=3)
+    assert not report.ok and len(report.divergences) == 2
+
+
+def _cocenter_trace(engine, h):
+    """f(sum c_y T_y) = sum c_y * table(y), keyed by class keys."""
+    out = {}
+    for y, c in h.items():
+        for key, poly in engine.table(y).items():
+            out[key] = out.get(key, XiPoly.ZERO) + c * poly
+    return {key: poly for key, poly in out.items() if not poly.is_zero}
+
+
+@pytest.mark.parametrize("label,images", TWISTS)
+def test_cocenter_trace_identity(label, images):
+    # f(T_s T_x) = f(T_x T_delta(s)) and f(T_tau T_x) = f(T_x T_delta(tau)):
+    # the products come from hecke_mul, not from the descent recursion
+    datum, delta = _twist(label, images)
+    engine = ClassPolyEngine(datum, delta)
+    refl = simple_reflections(datum)
+    moves = [(s, refl[delta.on_label(lab)]) for lab, s in refl.items()]
+    moves += [(tau, delta(tau)) for tau in omega_group(datum)]
+    for n in range(6):
+        for x in elements_of_length(datum, n):
+            tx = t_basis(x)
+            for left, right in moves:
+                assert _cocenter_trace(
+                    engine, hecke_mul(t_basis(left), tx)
+                ) == _cocenter_trace(engine, hecke_mul(tx, t_basis(right))), (x, left)
