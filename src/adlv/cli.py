@@ -3,11 +3,12 @@
 Exit codes: 0 ok, 2 usage or configuration problem, 3 integrity failure,
 4 property violation in a sweep, 5 search budget exhausted.  The class
 polynomial disk cache is a one-line JSON header followed by one JSON record
-per element; a header mismatch ignores the cache entirely, and a record
-that does not parse as an object with a string ``element`` and an object
-``table`` is skipped.  The tables finished before a run exhausts its budget
-are saved too.  The environment variable ``ADLV_CACHE`` overrides
-``--cache``.
+per element; a file whose header does not match the run is neither read
+nor written, and a record that does not parse as an object with a string
+``element`` and an object ``table`` is skipped.  The tables finished before
+a run exhausts its budget are saved too.  The environment variable
+``ADLV_CACHE`` names the cache when ``--cache`` is not given; ``--cache``
+wins when both are set.
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ class TableCache:
         self.datum = datum
         self.loaded: dict[str, dict] = {}
         self._preexisting: set[str] = set()
+        self._foreign = False  # the file belongs to another run: leave it be
         if path and os.path.exists(path):
             self._read(path)
 
@@ -135,14 +137,16 @@ class TableCache:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
         except OSError:
+            self._foreign = True
             return
         if not lines:
             return
         try:
             header = json.loads(lines[0])
         except json.JSONDecodeError:
-            return
+            header = None
         if header != self.header:
+            self._foreign = True
             return
         for line in lines[1:]:
             try:
@@ -180,7 +184,7 @@ class TableCache:
         self.save(engine)
 
     def save(self, engine: ClassPolyEngine):
-        if not self.path:
+        if not self.path or self._foreign:
             return
         new_records = []
         for elt, table in engine.memo.items():

@@ -146,9 +146,16 @@ def raw_newton_point(x: ExtAffElt, delta: DiagramAut | None = None):
 
 
 def newton_point(x: ExtAffElt, delta: DiagramAut | None = None):
-    """The dominant Newton vector of x (exact rationals)."""
-    nu = raw_newton_point(x, delta)
-    bar, _ = dominant_rep(x.datum, nu)
+    """The dominant Newton vector of x (exact rationals).
+
+    Read from the level index (see ``minimal_class_elements``) when x's
+    length level has one.
+    """
+    delta = coerce_delta(x.datum, delta)
+    desc = _stored_invariant(x, delta)
+    if desc is not None:
+        return desc.newton
+    bar, _ = dominant_rep(x.datum, raw_newton_point(x, delta))
     return bar
 
 
@@ -174,9 +181,13 @@ def kottwitz_class(x: ExtAffElt, delta: DiagramAut | None = None) -> tuple[int, 
 
 
 def invariant_f(x: ExtAffElt, delta: DiagramAut | None = None) -> SigmaClassDescriptor:
-    return SigmaClassDescriptor(
-        newton=newton_point(x, delta), kappa=kottwitz_class(x, delta)
-    )
+    delta = coerce_delta(x.datum, delta)
+    desc = _stored_invariant(x, delta)
+    if desc is None:
+        desc = SigmaClassDescriptor(
+            newton=newton_point(x, delta), kappa=kottwitz_class(x, delta)
+        )
+    return desc
 
 
 def is_straight(x: ExtAffElt, delta: DiagramAut | None = None) -> bool:
@@ -342,16 +353,64 @@ _CLASS_KEY_CACHE: dict[tuple, str] = {}
 _CLASS_INFO: dict[tuple, dict] = {}
 
 
+class _LevelIndex:
+    """One length level, indexed by the class invariant, with class members.
+
+    ``invariant`` maps each element of the level to its descriptor,
+    ``buckets`` maps a descriptor to the elements that have it in level
+    order, and ``members`` maps each element whose class has been listed to
+    that class's tuple of members.
+    """
+
+    __slots__ = ("invariant", "buckets", "members")
+
+    def __init__(self, datum: RootDatum, delta: DiagramAut, n: int):
+        self.invariant: dict[ExtAffElt, SigmaClassDescriptor] = {}
+        self.buckets: dict[SigmaClassDescriptor, list[ExtAffElt]] = {}
+        self.members: dict[ExtAffElt, tuple[ExtAffElt, ...]] = {}
+        # one descriptor object per bucket, so a level's Fractions are not
+        # held once per element
+        canonical: dict[SigmaClassDescriptor, SigmaClassDescriptor] = {}
+        for z in elements_of_length(datum, n):
+            desc = invariant_f(z, delta)
+            desc = canonical.setdefault(desc, desc)
+            self.invariant[z] = desc
+            self.buckets.setdefault(desc, []).append(z)
+
+
+# (datum.label, delta.perm, length) -> the index of that level
+_LEVEL_INDEX: dict[tuple, _LevelIndex] = {}
+
+
+def _level_index(datum: RootDatum, delta: DiagramAut, n: int) -> _LevelIndex:
+    key = (datum.label, delta.perm, n)
+    if key not in _LEVEL_INDEX:
+        _LEVEL_INDEX[key] = _LevelIndex(datum, delta, n)
+    return _LEVEL_INDEX[key]
+
+
+def _stored_invariant(x: ExtAffElt, delta: DiagramAut) -> SigmaClassDescriptor | None:
+    level = _LEVEL_INDEX.get((x.datum.label, delta.perm, x.length))
+    return None if level is None else level.invariant.get(x)
+
+
 def minimal_class_elements(x_min: ExtAffElt, delta: DiagramAut | None = None):
-    """All minimal-length elements of the class of an already-minimal element."""
+    """All minimal-length elements of the class of an already-minimal element.
+
+    The candidates are the elements of x_min's length level with x_min's
+    invariant (built once per level, in level order); ``same_conjugacy_class``
+    decides each of them.  The resulting tuple, in level order, is kept for
+    every member, so a later call on any member returns it directly.
+    """
     delta = coerce_delta(x_min.datum, delta)
-    n = x_min.length
-    desc = invariant_f(x_min, delta)
-    out = []
-    for z in elements_of_length(x_min.datum, n):
-        if invariant_f(z, delta) == desc and same_conjugacy_class(z, x_min, delta):
-            out.append(z)
-    return tuple(out)
+    level = _level_index(x_min.datum, delta, x_min.length)
+    out = level.members.get(x_min)
+    if out is None:
+        bucket = level.buckets.get(invariant_f(x_min, delta), ())
+        out = tuple(z for z in bucket if same_conjugacy_class(z, x_min, delta))
+        for z in out:
+            level.members[z] = out
+    return out
 
 
 def class_key(x: ExtAffElt, delta: DiagramAut | None = None,
@@ -420,6 +479,7 @@ def enumerate_straight_classes(
     delta = coerce_delta(datum, delta)
     by_key: dict[str, ExtAffElt] = {}
     for n in range(max_length + 1):
+        _level_index(datum, delta, n)  # is_straight reads its invariants
         for x in elements_of_length(datum, n):
             if not is_straight(x, delta):
                 continue

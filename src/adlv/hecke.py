@@ -373,12 +373,18 @@ def class_polynomials(
     delta: DiagramAut | None = None,
     engine: ClassPolyEngine | None = None,
 ) -> ClassPolyTable:
-    """All nonzero class polynomials of x, keyed by canonical class keys."""
+    """All nonzero class polynomials of x, keyed by canonical class keys.
+
+    An ``engine`` must belong to x's root datum and to ``delta``; a mismatch
+    raises ``ValueError``.
+    """
     if engine is None:
         engine = ClassPolyEngine(x.datum, delta)
     else:
         if engine.datum is not x.datum:
             raise ValueError("engine belongs to a different root datum")
+        if coerce_delta(x.datum, delta) != engine.delta:
+            raise ValueError("engine belongs to a different diagram automorphism")
     table = engine.table(x)
     return ClassPolyTable(
         element=element_literal(x),

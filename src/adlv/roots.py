@@ -21,6 +21,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import re
+from operator import mul
 from typing import Iterator
 
 from .errors import ConfigError
@@ -106,6 +107,8 @@ class FiniteWeylElt:
     right factor already seen to ``self * other`` (only the pairs actually
     multiplied, never all of W x W), and ``neg_flags``, from which ``length``
     here and ``ExtAffElt.length`` are read without touching the matrix again.
+    ``weyl_group`` fills the inverse and the reduced word of every element,
+    and each ``s_i``'s product memo, as it builds W.
     """
 
     __slots__ = ("datum", "mat", "_hash", "_inv", "_neg", "_prod", "_word")
@@ -428,21 +431,65 @@ def zero_pairing_set(datum: RootDatum, mu) -> tuple[int, ...]:
 
 
 def weyl_group(datum: RootDatum) -> tuple[FiniteWeylElt, ...]:
-    """All of W, ordered by (length, reduced word); cached on the datum."""
+    """All of W, ordered by (length, reduced word); cached on the datum.
+
+    W grows by left multiplication without matrix products.  ``s_i * w`` is
+    the row operation ``row_k -= cartan[i-1][k] * row_{i-1}`` on ``w.mat``,
+    and it is one longer than w exactly when row i-1 of ``w.mat`` (the root
+    w^{-1}(alpha_i)) has no negative entry.  The product u is kept only when
+    i is u's smallest left descent, so each element u is made once, from
+    w = ``s_i * u``, and its greedy reduced word is ``(i,) + reduced_word(w)``.
+    Taking i outermost over a level in word order gives the next level in
+    word order.  Each new element is filed as ``s_i``'s product with w and
+    paired with its inverse ``w^{-1} * s_i``, a column operation.
+    """
     if datum._weyl_levels is None:
-        levels = [[datum.identity_weyl]]
-        seen = {datum.identity_weyl}
-        while levels[-1]:
+        r = datum.rank
+        e = datum.identity_weyl
+        e._word = ()
+        e._inv = e
+        level = [e]
+        out = [e]
+        while level:
             nxt = []
-            for w in levels[-1]:
-                for i in range(1, datum.rank + 1):
-                    u = w * datum.simple_weyl(i)
-                    if u not in seen and u.length == w.length + 1:
-                        seen.add(u)
-                        nxt.append(u)
-            nxt.sort(key=lambda u: u.reduced_word)
-            levels.append(nxt)
-        datum._weyl_levels = tuple(w for level in levels for w in level)
+            for i in range(1, r + 1):
+                s = datum.simple_weyl(i)
+                c = datum.cartan[i - 1]
+                for w in level:
+                    mat = w.mat
+                    pivot = mat[i - 1]
+                    if any(x < 0 for x in pivot):
+                        continue  # s_i * w is shorter than w
+                    # a negative entry in an earlier row of s_i * w is a
+                    # smaller left descent
+                    if any(
+                        x - ck * y < 0
+                        for row, ck in zip(mat[: i - 1], c)
+                        for x, y in zip(row, pivot)
+                    ):
+                        continue
+                    u = datum.weyl_from_matrix(
+                        tuple(
+                            tuple(x - ck * y for x, y in zip(row, pivot)) if ck else row
+                            for row, ck in zip(mat, c)
+                        )
+                    )
+                    u._word = (i,) + w._word
+                    s._prod[w] = u
+                    uinv = datum.weyl_from_matrix(
+                        tuple(
+                            row[: i - 1]
+                            + (row[i - 1] - sum(map(mul, row, c)),)
+                            + row[i:]
+                            for row in w._inv.mat
+                        )
+                    )
+                    u._inv = uinv
+                    uinv._inv = u
+                    nxt.append(u)
+            out.extend(nxt)
+            level = nxt
+        datum._weyl_levels = tuple(out)
     return datum._weyl_levels
 
 

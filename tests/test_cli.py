@@ -240,3 +240,28 @@ def test_cache_kept_when_budget_runs_out(tmp_path, capsys):
     code, warm, _ = run(capsys, *args, "--cache", str(cache))
     assert code == 0
     assert warm == cold
+
+
+def test_cache_of_another_type_is_left_intact(tmp_path, capsys):
+    cache = tmp_path / "tables.jsonl"
+    code, _, _ = run(capsys, "dim", "--type", "A1", "--w", "w[0 1 0]", "--b", "unit",
+                     "--cache", str(cache))
+    assert code == 0
+    before = cache.read_bytes()
+    lines = before.decode().splitlines()
+    assert json.loads(lines[0])["type"] == "A1" and len(lines) > 1
+    args = ("dim", "--type", "A2", "--w", "s1", "--b", "unit")
+    _, cold, _ = run(capsys, *args)
+    code, out, _ = run(capsys, *args, "--cache", str(cache))
+    assert code == 0 and out == cold
+    assert cache.read_bytes() == before
+
+
+def test_cache_flag_wins_over_env_var(tmp_path, capsys, monkeypatch):
+    env_cache = tmp_path / "env-cache.jsonl"
+    flag_cache = tmp_path / "flag-cache.jsonl"
+    monkeypatch.setenv("ADLV_CACHE", str(env_cache))
+    code, _, _ = run(capsys, "dim", "--type", "A1", "--w", "w[0]", "--b", "unit",
+                     "--cache", str(flag_cache))
+    assert code == 0
+    assert flag_cache.exists() and not env_cache.exists()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from adlv.errors import BudgetError
-from adlv.roots import build_root_datum
+from adlv.roots import build_root_datum, dominant_rep
 from adlv.elements import (
     DiagramAut,
     coerce_delta,
@@ -20,6 +20,8 @@ from adlv.elements import (
     translation,
 )
 from adlv.conjugacy import (
+    SigmaClassDescriptor,
+    class_key,
     enumerate_straight_classes,
     invariant_f,
     is_jw_alcove,
@@ -384,3 +386,37 @@ def test_partial_reduce_maximal_coset_element():
     # the core here is the minimal coset member t^{rho^vee} w0 of length 1
     assert out.core == parse_element(a2, "t[1,1]*s1*s2*s1")
     assert out.core.length == 1
+
+
+def _fresh_invariant(x, delta):
+    """invariant_f's formula, recomputed without any stored level index."""
+    newton, _ = dominant_rep(x.datum, raw_newton_point(x, delta))
+    return SigmaClassDescriptor(newton=newton, kappa=kottwitz_class(x, delta))
+
+
+@pytest.mark.parametrize(
+    "label,images",
+    [("A2", None), ("A2", [2, 1]), ("C2", None), ("G2", None), ("D4", None)],
+)
+def test_class_members_and_keys_match_full_level_scan(label, images):
+    datum = build_root_datum(label)
+    delta = coerce_delta(datum, images)
+    scanned = {}  # minimal element -> its class's minimal members, level order
+    for n in range(6):
+        level = elements_of_length(datum, n)
+        invariant = {z: _fresh_invariant(z, delta) for z in level}
+        for x in level:
+            if x in scanned or not is_minimal_in_class(x, delta):
+                continue
+            members = tuple(
+                z
+                for z in level
+                if invariant[z] == invariant[x] and same_conjugacy_class(z, x, delta)
+            )
+            for m in members:
+                scanned[m] = members
+        for x in level:
+            if x in scanned:
+                assert minimal_class_elements(x, delta) == scanned[x], x
+                expected = min(element_literal(m) for m in scanned[x])
+                assert class_key(x, delta) == expected, x

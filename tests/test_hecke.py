@@ -323,3 +323,24 @@ def test_cocenter_trace_identity(label, images):
                 assert _cocenter_trace(
                     engine, hecke_mul(t_basis(left), tx)
                 ) == _cocenter_trace(engine, hecke_mul(tx, t_basis(right))), (x, left)
+
+
+@pytest.mark.parametrize("label,images", [("G2", None), ("A1xA1", [2, 1])])
+def test_cocenter_trace_identity_g2_and_swapped_a1xa1(label, images):
+    # the same oracle on a non-simply-laced type and on a twist that swaps
+    # two components (so it moves the affine labels too)
+    test_cocenter_trace_identity(label, images)
+
+
+def test_class_polynomials_rejects_engine_of_other_delta():
+    a2 = build_root_datum("A2")
+    flip = DiagramAut.from_one_based(a2, [2, 1])
+    x = parse_element(a2, "w[0 1 2 0]")
+    with pytest.raises(ValueError, match="diagram automorphism"):
+        class_polynomials(x, flip, engine=ClassPolyEngine(a2))
+    with pytest.raises(ValueError, match="diagram automorphism"):
+        class_polynomials(x, engine=ClassPolyEngine(a2, flip))
+    with pytest.raises(ValueError, match="diagram automorphism"):
+        verify_path_independence(x, [2, 1], engine=ClassPolyEngine(a2))
+    twisted = ClassPolyEngine(a2, flip)
+    assert class_polynomials(x, [2, 1], engine=twisted) == class_polynomials(x, flip)

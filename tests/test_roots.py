@@ -5,7 +5,7 @@ import random
 import pytest
 
 from adlv.errors import ConfigError
-from adlv.lattices import mat_mul
+from adlv.lattices import identity_matrix, mat_inverse, mat_mul, vec_mat
 from adlv.roots import (
     build_root_datum,
     dominant_rep,
@@ -211,3 +211,63 @@ def test_memoised_product_is_interned_matrix_product():
         expected = u.datum.weyl_from_matrix(mat_mul(u.mat, v.mat))
         assert u * v is expected
         assert u * v is expected  # second call is served by the memo
+
+
+def _reference_weyl_group(datum):
+    """The matrix-product BFS on plain matrices: (matrices, s_i matrices, words).
+
+    W is grown by right multiplication w * s_i, lengths are counted over the
+    positive roots, and each level is sorted by greedy reduced word; nothing
+    here reads the interned elements or their caches.
+    """
+    r = datum.rank
+    cartan = datum.cartan
+    gens = [
+        tuple(
+            tuple((1 if k == j else 0) - (cartan[i][k] if j == i else 0) for j in range(r))
+            for k in range(r)
+        )
+        for i in range(r)
+    ]
+    ident = identity_matrix(r)
+
+    def length(mat):
+        return sum(any(c < 0 for c in vec_mat(a, mat)) for a in datum.positive_roots)
+
+    words = {ident: ()}
+
+    def greedy_word(mat):  # smallest left descent first
+        if mat not in words:
+            i = next(i for i in range(r) if any(c < 0 for c in mat[i]))
+            words[mat] = (i + 1,) + greedy_word(mat_mul(gens[i], mat))
+        return words[mat]
+
+    levels = [[ident]]
+    seen = {ident}
+    while levels[-1]:
+        nxt = []
+        for w in levels[-1]:
+            for s in gens:
+                u = mat_mul(w, s)
+                if u not in seen and length(u) == len(levels):
+                    seen.add(u)
+                    nxt.append(u)
+        nxt.sort(key=greedy_word)
+        levels.append(nxt)
+    mats = [w for level in levels for w in level]
+    return mats, gens, [greedy_word(w) for w in mats]
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "C3", "D4", "D5", "G2", "F4", "A2xA1"])
+def test_weyl_group_matches_matrix_product_reference(label):
+    datum = build_root_datum(label)
+    group = weyl_group(datum)
+    mats, gens, words = _reference_weyl_group(datum)
+    assert [w.mat for w in group] == mats
+    assert all(datum.weyl_from_matrix(w.mat) is w for w in group)
+    assert [w.reduced_word for w in group] == words
+    for w in group:
+        assert w.inverse().mat == mat_inverse(w.mat)
+        assert w.inverse().inverse() is w
+        for i, s in enumerate(gens, start=1):
+            assert (datum.simple_weyl(i) * w).mat == mat_mul(s, w.mat)
