@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from fractions import Fraction
 
 from .errors import BudgetError, IntegrityError
@@ -20,7 +21,6 @@ from .roots import (
     dominant_rep,
     in_parabolic,
     min_coset_reps,
-    weyl_group,
 )
 from .elements import (
     DiagramAut,
@@ -300,11 +300,109 @@ def is_minimal_in_class(x: ExtAffElt, delta: DiagramAut | None = None,
 # Class identity
 
 
+class _TwistedClassMap:
+    """The twisted classes of W under u . y = u y delta(u)^{-1}, filled lazily.
+
+    ``root`` maps each element of a filled class to the class root r (the
+    element the class was first queried on), ``conj`` maps it to a
+    conjugator c_y with c_y r delta(c_y)^{-1} = y, and ``centraliser`` maps
+    each root to its twisted centraliser Z(r) = {u : u r delta(u)^{-1} = r}.
+    One instance lives on each interned ``DiagramAut``.
+    """
+
+    __slots__ = ("delta", "root", "conj", "centraliser")
+
+    def __init__(self, delta: DiagramAut):
+        self.delta = delta
+        self.root: dict[FiniteWeylElt, FiniteWeylElt] = {}
+        self.conj: dict[FiniteWeylElt, FiniteWeylElt] = {}
+        self.centraliser: dict[FiniteWeylElt, tuple[FiniteWeylElt, ...]] = {}
+
+    def fill(self, r: FiniteWeylElt) -> None:
+        """Walk the class of r by y -> s_i y s_delta(i), then close Z(r).
+
+        A new element z = s_i y s_delta(i) gets c_z = s_i c_y.  An edge into
+        an element already seen gives the Schreier generator c_z^{-1} s_i c_y
+        of Z(r); these generate Z(r).  One is kept only when it is not in the
+        subgroup built so far, so each kept one at least doubles it, and the
+        edges stop being read once the subgroup has |W| / |class| elements.
+        """
+        datum = r.datum
+        intern = datum.weyl_from_perm
+        moves = []
+        for i in range(1, datum.rank + 1):
+            s = datum.simple_weyl(i)
+            moves.append((s, s.p, datum.simple_weyl(self.delta.on_label(i)).p))
+        root, conj = self.root, self.conj
+        root[r] = r
+        conj[r] = datum.identity_weyl
+        edges = []
+        queue = [r]
+        for y in queue:  # also visits what the loop appends
+            yp = y.p
+            cy = conj[y]
+            for s, sp, sdp in moves:
+                # the p of s_i * y * s_delta(i) (see FiniteWeylElt.__mul__)
+                z = intern(itemgetter(*itemgetter(*sp)(yp))(sdp))
+                if z in root:
+                    edges.append((z, s, cy))
+                else:
+                    root[z] = r
+                    conj[z] = s * cy
+                    queue.append(z)
+        order = datum.weyl_order // len(queue)
+        group = {datum.identity_weyl: None}
+        gens: list[FiniteWeylElt] = []
+        for z, s, cy in edges:
+            if len(group) == order:
+                break
+            g = conj[z].inverse() * (s * cy)
+            if g not in group:
+                _close_subgroup(group, gens, g)
+        if len(group) != order:
+            raise IntegrityError("twisted centraliser has the wrong order")
+        self.centraliser[r] = tuple(group)
+
+
+def _close_subgroup(group: dict, gens: list, g) -> None:
+    """Extend the subgroup ``group`` (generated by ``gens``) by g, in place.
+
+    The old elements times the old generators stay inside, so they are
+    multiplied by g only; the new elements by every generator.
+    """
+    gens.append(g)
+    intern = g.datum.weyl_from_perm
+    queue = list(group)
+    old = len(queue)
+    for k, h in enumerate(queue):  # also visits what the loop appends
+        hp = h.p
+        for t in gens if k >= old else (g,):
+            u = intern(itemgetter(*hp)(t.p))
+            if u not in group:
+                group[u] = None
+                queue.append(u)
+
+
 def _twisted_weyl_conjugators(datum: RootDatum, wx: FiniteWeylElt,
                               wy: FiniteWeylElt, delta: DiagramAut):
-    for u in weyl_group(datum):
-        if u * wx * delta.on_weyl(u).inverse() is wy:
-            yield u
+    """Every u in W with u wx delta(u)^{-1} = wy, from the twisted class map.
+
+    The first query on wx fills wx's class.  When wy's class root differs
+    there is none; otherwise they are c_y u c_x^{-1} for u in Z(r).  No
+    query enumerates W, except through a centraliser that is all of W.
+    """
+    cmap = delta.class_map
+    if cmap is None:
+        cmap = delta.class_map = _TwistedClassMap(delta)
+    if wx not in cmap.root:
+        cmap.fill(wx)
+    r = cmap.root[wx]
+    if cmap.root.get(wy) is not r:
+        return
+    cy = cmap.conj[wy]
+    cx_inv = cmap.conj[wx].inverse()
+    for u in cmap.centraliser[r]:
+        yield cy * u * cx_inv
 
 
 _CONJ_LATTICE_CACHE: dict[tuple, LatticeQuotient] = {}
@@ -329,7 +427,10 @@ def same_conjugacy_class(x: ExtAffElt, y: ExtAffElt,
 
     Writing z = t^nu u, the finite parts must be twisted-conjugate under u,
     and then mu_y - u(mu_x) must lie in (1 - Ad(w_y) o delta) P; the lattice
-    membership is exact integer linear algebra.
+    membership is exact integer linear algebra.  The candidates u come from
+    the twisted class map of W (``_twisted_weyl_conjugators``): none when
+    w_x and w_y lie in different twisted classes of W, else one coset of a
+    twisted centraliser, and the lattice test decides each of them.
     """
     if x.datum is not y.datum:
         raise ValueError("elements belong to different root data")

@@ -325,13 +325,24 @@ class DiagramAut:
 
     Specified by a permutation of the finite simple labels preserving the
     Cartan matrix; it acts on coweights by permuting fundamental-coweight
-    coordinates and on S~ by permuting labels (components may move).
+    coordinates, on roots and so on W by permuting simple-root coordinates,
+    and on S~ by permuting labels (components may move).
+
+    There is one instance per (datum, perm): constructing it again, by any
+    of ``DiagramAut(...)``, ``identity``, ``from_one_based``, ``inverse``,
+    ``**`` or ``coerce_delta``, returns the shared object, so its caches
+    (the ``on_weyl`` images and the twisted class map of W kept by
+    :mod:`adlv.conjugacy`) live as long as the datum.
     """
 
-    __slots__ = ("datum", "perm", "_label_map", "_weyl_cache")
+    __slots__ = ("datum", "perm", "_label_map", "_root_perm", "_weyl_cache",
+                 "class_map")
 
-    def __init__(self, datum: RootDatum, perm):
+    def __new__(cls, datum: RootDatum, perm):
         perm = tuple(perm)
+        known = datum._diagram_auts.get(perm)
+        if known is not None:
+            return known
         if sorted(perm) != list(range(datum.rank)):
             raise ConfigError("delta spec is not a permutation of the simple labels")
         cartan = datum.cartan
@@ -339,6 +350,7 @@ class DiagramAut:
             for j in range(datum.rank):
                 if cartan[perm[i]][perm[j]] != cartan[i][j]:
                     raise ConfigError("delta spec does not preserve the Cartan matrix")
+        self = super().__new__(cls)
         self.datum = datum
         self.perm = perm
         label_map: dict[int, int] = {}
@@ -348,7 +360,14 @@ class DiagramAut:
             image_comp = datum.component_of_node(perm[start] + 1)
             label_map[-c] = -image_comp
         self._label_map = label_map
+        # index of delta(beta_k) for the k-th root of the datum
+        self._root_perm = tuple(
+            datum.root_index[self.on_coweight(a)] for a in datum.roots
+        )
         self._weyl_cache: dict = {}
+        self.class_map = None
+        datum._diagram_auts[perm] = self
+        return self
 
     @classmethod
     def identity(cls, datum: RootDatum) -> "DiagramAut":
@@ -392,16 +411,15 @@ class DiagramAut:
         return tuple(v[self.perm[i]] for i in range(len(v)))
 
     def on_weyl(self, w: FiniteWeylElt) -> FiniteWeylElt:
-        if w not in self._weyl_cache:
-            r = self.datum.rank
-            mat = [[0] * r for _ in range(r)]
-            for i in range(r):
-                for j in range(r):
-                    mat[self.perm[i]][self.perm[j]] = w.mat[i][j]
-            self._weyl_cache[w] = self.datum.weyl_from_matrix(
-                tuple(tuple(row) for row in mat)
-            )
-        return self._weyl_cache[w]
+        """delta w delta^{-1}, which sends delta(beta) to delta(w(beta))."""
+        out = self._weyl_cache.get(w)
+        if out is None:
+            sigma = self._root_perm
+            p = [0] * len(sigma)
+            for k, j in enumerate(w.p):
+                p[sigma[k]] = sigma[j]
+            out = self._weyl_cache[w] = self.datum.weyl_from_perm(tuple(p))
+        return out
 
     def __call__(self, x):
         if isinstance(x, FiniteWeylElt):

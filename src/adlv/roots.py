@@ -12,6 +12,13 @@ Conventions, fixed once for the whole package:
   negative labels are reserved for the affine reflections of the irreducible
   components (see :mod:`adlv.elements`).
 * ``cartan[i][j] = <alpha_i^vee, alpha_j>`` (0-based storage).
+* ``datum.roots`` lists the positive roots (sorted by height, then
+  coordinates) followed by their negatives in the same order, and
+  ``datum.root_index`` maps each root to its place in that list.  A Weyl
+  element is stored as the permutation of these indices that its inverse
+  induces (see :class:`FiniteWeylElt`), so products, inverses, lengths and
+  the diagram twist are index lookups for every type from A1 to E8, and no
+  operation needs the whole group W.
 
 >>> datum = build_root_datum("A2")
 >>> len(datum.positive_roots), datum.rho2
@@ -21,17 +28,14 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import re
-from operator import mul
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import ConfigError
 from .lattices import (
     LatticeQuotient,
     dot,
-    identity_matrix,
     mat_det,
-    mat_inverse,
-    mat_mul,
     mat_vec,
     vec_mat,
 )
@@ -97,26 +101,32 @@ def parse_type_label(label: str):
 
 
 class FiniteWeylElt:
-    """An element of the finite Weyl group W.
+    """An element w of the finite Weyl group W, as a permutation of the roots.
 
-    The canonical form is the integer matrix of the action on the coweight
-    lattice in fundamental-coweight coordinates; instances are interned per
-    root datum, so equal elements are identical objects.
+    ``p[k]`` is the index in ``datum.roots`` of w^{-1}(beta_k), beta_k the
+    k-th root, and instances are interned per root datum by ``p``, so equal
+    elements are identical objects.  Then ``(u * v).p`` is ``v.p`` read at
+    ``u.p`` (one ``itemgetter`` call), the inverse is the inverse
+    permutation, ``neg_flags`` marks the positive roots sent to negative
+    ones, and a left descent s_i is one lookup.  ``mat``, the integer
+    matrix of the action on coweights in fundamental-coweight coordinates,
+    has w^{-1}(alpha_i) as row i-1; it is kept for ``coweight_action`` and
+    for the hash, ``hash((label, mat))``.
 
-    Two per-element caches are filled lazily: a product memo mapping each
-    right factor already seen to ``self * other`` (only the pairs actually
-    multiplied, never all of W x W), and ``neg_flags``, from which ``length``
-    here and ``ExtAffElt.length`` are read without touching the matrix again.
-    ``weyl_group`` fills the inverse and the reduced word of every element,
-    and each ``s_i``'s product memo, as it builds W.
+    Per-element caches are filled lazily: a product memo mapping each right
+    factor already seen to ``self * other`` (only the pairs actually
+    multiplied, never all of W x W), the inverse, ``neg_flags`` and the
+    reduced word.
     """
 
-    __slots__ = ("datum", "mat", "_hash", "_inv", "_neg", "_prod", "_word")
+    __slots__ = ("datum", "p", "mat", "_hash", "_inv", "_neg", "_prod", "_word")
 
-    def __init__(self, datum, mat):
+    def __init__(self, datum, p):
         self.datum = datum
-        self.mat = mat
-        self._hash = hash((datum.label, mat))
+        self.p = p
+        roots = datum.roots
+        self.mat = tuple(roots[p[k]] for k in datum.simple_index)
+        self._hash = hash((datum.label, self.mat))
         self._inv = None
         self._neg = None
         self._prod = {}
@@ -126,7 +136,7 @@ class FiniteWeylElt:
         return self is other or (
             isinstance(other, FiniteWeylElt)
             and self.datum is other.datum
-            and self.mat == other.mat
+            and self.p == other.p
         )
 
     def __hash__(self):
@@ -155,13 +165,18 @@ class FiniteWeylElt:
                 return NotImplemented
             if self.datum is not other.datum:
                 raise ValueError("elements belong to different root data")
-            prod = self.datum.weyl_from_matrix(mat_mul(self.mat, other.mat))
+            # (u * v).p[k] = v.p[u.p[k]]; a datum has at least two roots, so
+            # the getter always returns a tuple
+            prod = self.datum.weyl_from_perm(itemgetter(*self.p)(other.p))
             self._prod[other] = prod
         return prod
 
     def inverse(self):
         if self._inv is None:
-            inv = self.datum.weyl_from_matrix(mat_inverse(self.mat))
+            q = [0] * len(self.p)
+            for k, j in enumerate(self.p):
+                q[j] = k
+            inv = self.datum.weyl_from_perm(tuple(q))
             self._inv = inv
             inv._inv = self
         return self._inv
@@ -170,10 +185,8 @@ class FiniteWeylElt:
     def neg_flags(self) -> tuple[int, ...]:
         """1 where w^{-1} sends the positive root (datum order) to a negative one."""
         if self._neg is None:
-            self._neg = tuple(
-                1 if any(c < 0 for c in self.inverse_root_action(a)) else 0
-                for a in self.datum.positive_roots
-            )
+            n = len(self.datum.positive_roots)
+            self._neg = tuple(1 if j >= n else 0 for j in self.p[:n])
         return self._neg
 
     @property
@@ -186,11 +199,11 @@ class FiniteWeylElt:
 
     def has_left_descent(self, i: int) -> bool:
         """True when length(s_i * w) < length(w); i is a 1-based label."""
-        return any(c < 0 for c in self.mat[i - 1])
+        datum = self.datum
+        return self.p[datum.simple_index[i - 1]] >= len(datum.positive_roots)
 
     def has_right_descent(self, i: int) -> bool:
-        a = self.root_action(self.datum.simple_root(i))
-        return any(c < 0 for c in a)
+        return self.inverse().has_left_descent(i)
 
     @property
     def reduced_word(self):
@@ -237,10 +250,12 @@ class RootDatum:
         # alpha_i^vee in fundamental-coweight coordinates is cartan row i-1
         self.simple_coroots = self.cartan
 
-        self._weyl_cache: dict = {}
-        self._id_weyl = self.weyl_from_matrix(identity_matrix(r))
-        self._simple_weyl = {}
         self._build_positive_roots()
+        self._weyl_cache: dict = {}
+        self._id_weyl = self.weyl_from_perm(tuple(range(len(self.roots))))
+        self._simple_weyl = {}
+        # per-datum state of the diagram automorphisms (see elements.DiagramAut)
+        self._diagram_auts: dict = {}
         self.rho2 = tuple(
             sum(a[i] for a in self.positive_roots) for i in range(r)
         )
@@ -276,7 +291,13 @@ class RootDatum:
         ordered = sorted(found, key=lambda a: (sum(a), a))
         self.positive_roots = tuple(ordered)
         self.positive_coroots = tuple(found[a] for a in ordered)
-        self.root_index = {a: k for k, a in enumerate(ordered)}
+        self.roots = self.positive_roots + tuple(
+            tuple(-c for c in a) for a in ordered
+        )
+        self.root_index = {a: k for k, a in enumerate(self.roots)}
+        self.simple_index = tuple(
+            self.root_index[self.simple_root(i)] for i in range(1, r + 1)
+        )
         highest = []
         for letter, rank, start in self.components:
             in_comp = [
@@ -299,13 +320,36 @@ class RootDatum:
     def simple_root(self, i: int):
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
-    def weyl_from_matrix(self, mat) -> FiniteWeylElt:
+    @property
+    def weyl_order(self) -> int:
+        """|W| as the product of the degrees m + 1 over the exponents m.
+
+        The number of exponents equal to k is the number of positive roots
+        of height k minus the number of height k + 1 (Kostant).
+        """
+        heights = [sum(a) for a in self.positive_roots]
+        out = 1
+        for k in range(1, max(heights, default=0) + 1):
+            out *= (k + 1) ** (heights.count(k) - heights.count(k + 1))
+        return out
+
+    def weyl_from_perm(self, p) -> FiniteWeylElt:
+        """The interned element whose inverse sends root k to root ``p[k]``."""
         try:
-            return self._weyl_cache[mat]
+            return self._weyl_cache[p]
         except KeyError:
-            elt = FiniteWeylElt(self, mat)
-            self._weyl_cache[mat] = elt
+            elt = FiniteWeylElt(self, p)
+            self._weyl_cache[p] = elt
             return elt
+
+    def weyl_from_matrix(self, mat) -> FiniteWeylElt:
+        """The element acting on coweights by ``mat`` (rows w^{-1}(alpha_i))."""
+        n = len(self.positive_roots)
+        try:
+            head = [self.root_index[vec_mat(a, mat)] for a in self.positive_roots]
+        except KeyError:
+            raise ValueError("matrix is not a Weyl group element") from None
+        return self.weyl_from_perm(tuple(head + [(k + n) % (2 * n) for k in head]))
 
     @property
     def identity_weyl(self) -> FiniteWeylElt:
@@ -433,59 +477,38 @@ def zero_pairing_set(datum: RootDatum, mu) -> tuple[int, ...]:
 def weyl_group(datum: RootDatum) -> tuple[FiniteWeylElt, ...]:
     """All of W, ordered by (length, reduced word); cached on the datum.
 
-    W grows by left multiplication without matrix products.  ``s_i * w`` is
-    the row operation ``row_k -= cartan[i-1][k] * row_{i-1}`` on ``w.mat``,
-    and it is one longer than w exactly when row i-1 of ``w.mat`` (the root
-    w^{-1}(alpha_i)) has no negative entry.  The product u is kept only when
-    i is u's smallest left descent, so each element u is made once, from
+    Only callers that need every element build this; products, inverses and
+    class queries never do.  W grows by left multiplication: ``s_i * w`` is
+    one longer than w exactly when w^{-1}(alpha_i) is a positive root, and
+    it is kept only when i is its smallest left descent, read off
+    w^{-1}(s_i(alpha_j)) for j < i.  So each element u is made once, from
     w = ``s_i * u``, and its greedy reduced word is ``(i,) + reduced_word(w)``.
     Taking i outermost over a level in word order gives the next level in
-    word order.  Each new element is filed as ``s_i``'s product with w and
-    paired with its inverse ``w^{-1} * s_i``, a column operation.
+    word order.  Each new element is filed as ``s_i``'s product with w.
     """
     if datum._weyl_levels is None:
-        r = datum.rank
+        n = len(datum.positive_roots)
+        simple = datum.simple_index
         e = datum.identity_weyl
         e._word = ()
-        e._inv = e
         level = [e]
         out = [e]
         while level:
             nxt = []
-            for i in range(1, r + 1):
+            for i in range(1, datum.rank + 1):
                 s = datum.simple_weyl(i)
-                c = datum.cartan[i - 1]
+                sp = s.p
+                # the indices of s_i(alpha_j) for the smaller labels j
+                earlier = [sp[k] for k in simple[: i - 1]]
                 for w in level:
-                    mat = w.mat
-                    pivot = mat[i - 1]
-                    if any(x < 0 for x in pivot):
+                    wp = w.p
+                    if wp[simple[i - 1]] >= n:
                         continue  # s_i * w is shorter than w
-                    # a negative entry in an earlier row of s_i * w is a
-                    # smaller left descent
-                    if any(
-                        x - ck * y < 0
-                        for row, ck in zip(mat[: i - 1], c)
-                        for x, y in zip(row, pivot)
-                    ):
-                        continue
-                    u = datum.weyl_from_matrix(
-                        tuple(
-                            tuple(x - ck * y for x, y in zip(row, pivot)) if ck else row
-                            for row, ck in zip(mat, c)
-                        )
-                    )
+                    if any(wp[k] >= n for k in earlier):
+                        continue  # s_i * w has a smaller left descent
+                    u = datum.weyl_from_perm(itemgetter(*sp)(wp))
                     u._word = (i,) + w._word
                     s._prod[w] = u
-                    uinv = datum.weyl_from_matrix(
-                        tuple(
-                            row[: i - 1]
-                            + (row[i - 1] - sum(map(mul, row, c)),)
-                            + row[i:]
-                            for row in w._inv.mat
-                        )
-                    )
-                    u._inv = uinv
-                    uinv._inv = u
                     nxt.append(u)
             out.extend(nxt)
             level = nxt

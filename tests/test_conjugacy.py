@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from adlv.errors import BudgetError
-from adlv.roots import build_root_datum, dominant_rep
+from adlv.lattices import mat_inverse, mat_mul
+from adlv.roots import build_root_datum, dominant_rep, weyl_group
 from adlv.elements import (
     DiagramAut,
     coerce_delta,
@@ -36,6 +37,7 @@ from adlv.conjugacy import (
     raw_newton_point,
     reduce_to_minimal,
     same_conjugacy_class,
+    _twisted_weyl_conjugators,
 )
 
 from test_elements import random_element
@@ -420,3 +422,45 @@ def test_class_members_and_keys_match_full_level_scan(label, images):
                 assert minimal_class_elements(x, delta) == scanned[x], x
                 expected = min(element_literal(m) for m in scanned[x])
                 assert class_key(x, delta) == expected, x
+
+
+def _twist_matrix(perm, mat):
+    """delta w delta^{-1} on plain matrices: entry (i, j) moves to (perm i, perm j)."""
+    r = len(perm)
+    out = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            out[perm[i]][perm[j]] = mat[i][j]
+    return tuple(map(tuple, out))
+
+
+@pytest.mark.parametrize(
+    "label,images",
+    [("A3", None), ("A3", [3, 2, 1]), ("B3", None), ("G2", None),
+     ("D4", [3, 2, 4, 1]), ("A1xA1", [2, 1])],
+)
+def test_twisted_conjugators_match_full_scan(label, images):
+    datum = build_root_datum(label)
+    delta = coerce_delta(datum, images)
+    group = weyl_group(datum)
+    # u -> (u, delta(u)^{-1}) on plain matrices, nothing read from the class map
+    mats = [(u, u.mat, mat_inverse(_twist_matrix(delta.perm, u.mat))) for u in group]
+    rng = random.Random(f"{label}:{images}")
+    for wx in group:
+        image = {}  # u wx delta(u)^{-1} -> the set of such u, as matrices
+        for u, umat, dinv in mats:
+            image.setdefault(mat_mul(mat_mul(umat, wx.mat), dinv), set()).add(umat)
+        in_class = [w for w in group if w.mat in image]
+        for wy in rng.sample(group, 3) + rng.sample(in_class, min(2, len(in_class))):
+            found = [u.mat for u in _twisted_weyl_conjugators(datum, wx, wy, delta)]
+            assert len(found) == len(set(found))
+            assert set(found) == image.get(wy.mat, set()), (wx, wy)
+    # every element now has a class root; the classes partition W
+    cmap = delta.class_map
+    classes = {}
+    for w in group:
+        classes.setdefault(cmap.root[w], []).append(w)
+    assert sum(len(c) for c in classes.values()) == len(group)
+    for r, members in classes.items():
+        assert cmap.root[r] is r
+        assert len(members) * len(cmap.centraliser[r]) == len(group)

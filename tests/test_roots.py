@@ -1,9 +1,11 @@
 """Root datum tables and finite Weyl group arithmetic."""
 
+import itertools
 import random
 
 import pytest
 
+from adlv.elements import DiagramAut
 from adlv.errors import ConfigError
 from adlv.lattices import identity_matrix, mat_inverse, mat_mul, vec_mat
 from adlv.roots import (
@@ -271,3 +273,93 @@ def test_weyl_group_matches_matrix_product_reference(label):
         assert w.inverse().inverse() is w
         for i, s in enumerate(gens, start=1):
             assert (datum.simple_weyl(i) * w).mat == mat_mul(s, w.mat)
+
+
+
+def _simple_matrices(datum):
+    """The matrices of s_1, ..., s_r on coweights, from the Cartan matrix."""
+    r = datum.rank
+    return [
+        tuple(
+            tuple((1 if k == j else 0) - (datum.cartan[i][k] if j == i else 0)
+                  for j in range(r))
+            for k in range(r)
+        )
+        for i in range(r)
+    ]
+
+
+def _diagram_perms(datum):
+    """Every permutation of the simple labels that preserves the Cartan matrix."""
+    r = datum.rank
+    return [
+        perm
+        for perm in itertools.permutations(range(r))
+        if all(datum.cartan[perm[i]][perm[j]] == datum.cartan[i][j]
+               for i in range(r) for j in range(r))
+    ]
+
+
+def _matrix_neg_flags(datum, mat):
+    return tuple(
+        1 if any(c < 0 for c in vec_mat(a, mat)) else 0 for a in datum.positive_roots
+    )
+
+
+def _check_element(datum, w, gens, labels, by_elimination=True):
+    """Inverse, neg_flags, length and left descents of w from its matrix alone."""
+    assert mat_mul(w.inverse().mat, w.mat) == identity_matrix(datum.rank)
+    if by_elimination:
+        assert w.inverse().mat == mat_inverse(w.mat)
+    flags = _matrix_neg_flags(datum, w.mat)
+    assert w.neg_flags == flags
+    assert w.length == sum(flags)
+    for i in labels:
+        shorter = sum(_matrix_neg_flags(datum, mat_mul(gens[i - 1], w.mat))) < sum(flags)
+        assert w.has_left_descent(i) == shorter
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "C3", "D4", "D5", "G2", "F4", "A2xA1"])
+def test_root_permutation_kernel_matches_matrices(label):
+    datum = build_root_datum(label)
+    group = weyl_group(datum)
+    gens = _simple_matrices(datum)
+    labels = range(1, datum.rank + 1)
+    rng = random.Random(label)
+    small = len(group) <= 200
+    for w in group:  # D5 and F4: one seeded label, no Fraction elimination
+        if small:
+            _check_element(datum, w, gens, labels)
+        else:
+            _check_element(datum, w, gens, [rng.choice(labels)], by_elimination=False)
+    if small:
+        pairs = [(u, v) for u in group for v in group]
+    else:  # D5 and F4: every element against a seeded sample of 8
+        pairs = [(u, v) for u in group for v in rng.sample(group, 8)]
+    for u, v in pairs:
+        assert (u * v).mat == mat_mul(u.mat, v.mat)
+    for u, v in pairs[:: max(1, len(pairs) // 500)]:
+        assert u * v is datum.weyl_from_matrix(mat_mul(u.mat, v.mat))
+    r = datum.rank
+    for perm in _diagram_perms(datum):
+        delta = DiagramAut(datum, perm)
+        for w in group:
+            mat = [[0] * r for _ in range(r)]
+            for i in range(r):
+                for j in range(r):
+                    mat[perm[i]][perm[j]] = w.mat[i][j]
+            assert delta.on_weyl(w).mat == tuple(map(tuple, mat))
+
+
+@pytest.mark.parametrize("label", ["E6", "E7", "E8"])
+def test_root_permutation_kernel_on_large_types(label):
+    datum = build_root_datum(label)
+    rng = random.Random(label)
+    gens = _simple_matrices(datum)
+    for _ in range(200):
+        u = _random_weyl(datum, rng, n=4 * datum.rank)
+        v = _random_weyl(datum, rng, n=4 * datum.rank)
+        assert u * v is datum.weyl_from_matrix(mat_mul(u.mat, v.mat))
+        _check_element(datum, u, gens, [rng.randrange(1, datum.rank + 1)])
+    if label != "E6":
+        assert datum._weyl_levels is None  # W(E7) and W(E8) are never built
