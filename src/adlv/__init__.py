@@ -31,9 +31,6 @@ from .elements import (
     elements_of_length,
     eta_delta,
     is_lowest_cell,
-    length,
-    multiply,
-    invert,
     omega_group,
     parse_element,
     reduced_word,

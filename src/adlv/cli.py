@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--delta",
             help="diagram automorphism as comma-separated images of 1..rank",
         )
-        p.add_argument("--format", choices=("text", "tsv", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--cache", help="class polynomial cache file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=10**6)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from fractions import Fraction
 
-from .errors import BudgetError, IntegrityError
+from .errors import IntegrityError
 from .lattices import LatticeQuotient, dot
 from .roots import (
     FiniteWeylElt,
@@ -25,13 +25,15 @@ from .roots import (
 from .elements import (
     DiagramAut,
     ExtAffElt,
+    OrbitWalk,
+    ReductionTrace,
+    TraceStep,
     coerce_delta,
     element_literal,
     elements_of_length,
     identity,
     omega_group,
     simple_reflections,
-    tau_token,
 )
 
 __all__ = [
@@ -67,62 +69,11 @@ class SigmaClassDescriptor:
     newton: tuple[Fraction, ...]
     kappa: tuple[int, ...]
 
-    def sort_key(self):
-        return (self.kappa, tuple((c.numerator, c.denominator) for c in self.newton))
-
     def jsonable(self):
         return {
             "newton": [str(c) for c in self.newton],
             "kappa": list(self.kappa),
         }
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    move: str  # "<i>" for conjugation by s_i, "tau^k" for an Omega twist
-    before: ExtAffElt
-    after: ExtAffElt
-    dl: int
-
-    def format(self) -> str:
-        return (
-            f"STEP {self.move} {element_literal(self.before)} -> "
-            f"{element_literal(self.after)} dl={self.dl}"
-        )
-
-
-@dataclass(frozen=True)
-class ReductionTrace:
-    steps: tuple[TraceStep, ...]
-    terminal: ExtAffElt
-
-    def format_lines(self) -> list[str]:
-        return [step.format() for step in self.steps]
-
-    def replay(self, start: ExtAffElt, delta: DiagramAut) -> bool:
-        """Check the trace is a valid move sequence from start to terminal."""
-        cur = start
-        for step in self.steps:
-            if step.before != cur:
-                return False
-            expected = _apply_move(cur, step.move, delta)
-            if expected != step.after:
-                return False
-            if step.after.length - cur.length != step.dl or step.dl not in (0, -2):
-                return False
-            cur = step.after
-        return cur == self.terminal
-
-
-def _apply_move(x: ExtAffElt, move: str, delta: DiagramAut) -> ExtAffElt:
-    from .elements import tau_power
-
-    if move.startswith("tau^"):
-        tau = tau_power(x.datum, int(move[4:]))
-        return tau * x * delta(tau).inverse()
-    refl = simple_reflections(x.datum)
-    lab = int(move)
-    return refl[lab] * x * refl[delta.on_label(lab)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +110,21 @@ def newton_point(x: ExtAffElt, delta: DiagramAut | None = None):
     return bar
 
 
-_KOTTWITZ_CACHE: dict[tuple[str, tuple], LatticeQuotient] = {}
+_KOTTWITZ_CACHE: dict[tuple, LatticeQuotient] = {}
 
 
-def kottwitz_quotient(datum: RootDatum, delta: DiagramAut | None = None) -> LatticeQuotient:
-    """P modulo (Q + (1 - delta) P), the target of the Kottwitz map."""
+def kottwitz_quotient(datum: RootDatum, delta: DiagramAut | None = None,
+                      J=None) -> LatticeQuotient:
+    """P modulo (Q_J + (1 - delta) P), Q_J spanned by the simple coroots of J.
+
+    J defaults to every finite label, and then this is the target of the
+    Kottwitz map; ``mazur_check`` reads the quotient of a Levi's J.
+    """
     delta = coerce_delta(datum, delta)
-    key = (datum.label, delta.perm)
+    key = (datum.label, delta.perm, J)
     if key not in _KOTTWITZ_CACHE:
-        gens = list(datum.simple_coroots)
+        labels = range(1, datum.rank + 1) if J is None else J
+        gens = [datum.simple_coroots[j - 1] for j in labels]
         for i in range(datum.rank):
             e = tuple(1 if j == i else 0 for j in range(datum.rank))
             de = delta.on_coweight(e)
@@ -199,24 +156,37 @@ def is_straight(x: ExtAffElt, delta: DiagramAut | None = None) -> bool:
 # Reduction to minimal length
 
 
-def _moves(x: ExtAffElt, delta: DiagramAut, with_omega: bool = True):
-    """Deterministic stream of (move, image) twisted-conjugation moves.
+def _simple_moves(x: ExtAffElt, delta: DiagramAut, labels):
+    """The moves x -> s_i x s_delta(i) for i in ``labels``, as (i, image) pairs.
 
-    The move is the label of a simple reflection or a length-0 element;
-    ``_move_token`` names it for a trace.
+    Returns ``(drops, same)``: the moves that shorten x, and those that keep
+    its length, each in the order of ``labels``.
     """
     refl = simple_reflections(x.datum)
-    for lab, s in refl.items():
-        yield lab, s * x * refl[delta.on_label(lab)]
-    if with_omega:
-        for tau in omega_group(x.datum):
-            if tau.is_identity:
-                continue
-            yield tau, tau * x * delta(tau).inverse()
+    n = x.length
+    drops, same = [], []
+    for lab in labels:
+        z = refl[lab] * x * refl[delta.on_label(lab)]
+        if z.length < n:
+            drops.append((lab, z))
+        elif z.length == n:
+            same.append((lab, z))
+    return drops, same
 
 
-def _move_token(move) -> str:
-    return str(move) if isinstance(move, int) else tau_token(move)
+def _moves(x: ExtAffElt, delta: DiagramAut):
+    """All twisted-conjugation moves of x, as ``(drops, same)``.
+
+    The simple reflections in label order, then the length-0 elements tau
+    (``x -> tau x delta(tau)^{-1}``, which keeps the length), as (move,
+    image) pairs; the move is a label or tau.  This is the move source of
+    the full orbit searches, and the class-polynomial engine memoizes it.
+    """
+    drops, same = _simple_moves(x, delta, simple_reflections(x.datum))
+    for tau in omega_group(x.datum):
+        if not tau.is_identity:
+            same.append((tau, tau * x * delta(tau).inverse()))
+    return drops, same
 
 
 def reduce_to_minimal(
@@ -226,74 +196,32 @@ def reduce_to_minimal(
 ):
     """A minimal-length element of the twisted class of x, with a replayable trace.
 
-    Searches the full closure of x under length-nonincreasing moves; when that
-    closure admits no further drop, its level is the minimal length of the
-    whole class, so the returned element is globally minimal.
+    One ``OrbitWalk`` over ``_moves`` walks the same-length orbit of x, then
+    the orbit of the drops found there, level by level; ``budget`` caps the
+    nodes of all levels together.  When a level admits no further drop, it
+    is the minimal length of the whole class, and its first element (x
+    itself when x was already minimal, else the first drop discovered) is
+    returned, so the result is globally minimal.
     """
     delta = coerce_delta(x.datum, delta)
-    parents: dict[ExtAffElt, tuple[ExtAffElt, str] | None] = {x: None}
-    nodes = 0
-
-    def trace_to(elt: ExtAffElt) -> ReductionTrace:
-        steps = []
-        cur = elt
-        while parents[cur] is not None:
-            prev, move = parents[cur]
-            steps.append(
-                TraceStep(move=move, before=prev, after=cur, dl=cur.length - prev.length)
-            )
-            cur = prev
-        return ReductionTrace(steps=tuple(reversed(steps)), terminal=elt)
-
+    walk = OrbitWalk(lambda y: _moves(y, delta), budget, "reduction", {x: None})
     level = [x]
     while True:
-        seen = {y: None for y in level}
-        queue = list(level)
-        drops: list[ExtAffElt] = []
-        for y in queue:  # also visits what the loop appends
-            nodes += 1
-            if nodes > budget:
-                raise BudgetError(
-                    f"reduction exceeded the {budget}-node budget",
-                    partial=trace_to(y),
-                )
-            for move, z in _moves(y, delta):
-                if z.length == y.length:
-                    if z not in seen:
-                        seen[z] = None
-                        if z not in parents:
-                            parents[z] = (y, _move_token(move))
-                        queue.append(z)
-                elif z.length < y.length:
-                    if z not in parents:
-                        parents[z] = (y, _move_token(move))
-                        drops.append(z)
+        drops = [z for _, new in walk.walk(level) for _, z in new]
         if not drops:
-            # first element of the level: the input itself when it was
-            # already minimal, else the first drop discovered
-            best = level[0]
-            return best, trace_to(best)
+            return level[0], walk.trace(level[0])
         level = drops
 
 
 def is_minimal_in_class(x: ExtAffElt, delta: DiagramAut | None = None,
                         budget: int = DEFAULT_BUDGET) -> bool:
-    """True when no chain of same-length moves from x reaches a length drop."""
+    """True when no chain of same-length moves from x reaches a length drop.
+
+    An ``OrbitWalk`` over ``_moves`` that stops at the first node with a drop.
+    """
     delta = coerce_delta(x.datum, delta)
-    seen = {x: None}
-    queue = [x]
-    nodes = 0
-    for y in queue:  # also visits what the loop appends
-        nodes += 1
-        if nodes > budget:
-            raise BudgetError(f"minimality test exceeded the {budget}-node budget")
-        for _, z in _moves(y, delta):
-            if z.length < y.length:
-                return False
-            if z.length == y.length and z not in seen:
-                seen[z] = None
-                queue.append(z)
-    return True
+    walk = OrbitWalk(lambda y: _moves(y, delta), budget, "minimality test")
+    return not any(drops for _, drops in walk.walk([x]))
 
 
 # ---------------------------------------------------------------------------
@@ -664,28 +592,24 @@ def min2_decompose(
 ) -> Min2Decomposition:
     """Split a minimal element, along its same-length orbit, as u * x.
 
-    Searches the orbit of x_min under length-preserving conjugation by simple
-    reflections for a member u x with u in a finite W_J and x straight,
-    minimal on both sides for (J, delta(J)) and with Ad(x) delta(J) = J.
+    An ``OrbitWalk`` under length-preserving conjugation by simple
+    reflections (no length-0 twists) stops at the first member u x with u
+    in a finite W_J and x straight, minimal on both sides for
+    (J, delta(J)) and with Ad(x) delta(J) = J.
     """
     delta = coerce_delta(x_min.datum, delta)
     datum = x_min.datum
-    labels = list(simple_reflections(datum))
-    seen = {x_min: None}
-    queue = [x_min]
-    nodes = 0
+    refl = simple_reflections(datum)
     subsets = sorted(
         (
             J
-            for k in range(len(labels) + 1)
-            for J in itertools.combinations(sorted(labels), k)
+            for k in range(len(refl) + 1)
+            for J in itertools.combinations(sorted(refl), k)
         ),
         key=lambda J: (len(J), J),
     )
-    for y in queue:  # also visits what the loop appends
-        nodes += 1
-        if nodes > budget:
-            raise BudgetError(f"decomposition exceeded the {budget}-node budget")
+    walk = OrbitWalk(lambda y: _simple_moves(y, delta, refl), budget, "decomposition")
+    for y, _ in walk.walk([x_min]):
         for J in subsets:
             if not _finite_wj(datum, J):
                 continue
@@ -693,7 +617,6 @@ def min2_decompose(
             if u.length + x.length != y.length:
                 raise IntegrityError("parabolic split lost length")
             dJ = tuple(sorted(delta.on_label(j) for j in J))
-            refl = simple_reflections(datum)
             if any((x * refl[j]).length < x.length for j in dJ):
                 continue
             if _subset_conjugation_map(x, dJ, J) is None:
@@ -701,12 +624,6 @@ def min2_decompose(
             if not is_straight(x, delta):
                 continue
             return Min2Decomposition(J=tuple(J), straight=x, finite_factor=u)
-        refl = simple_reflections(datum)
-        for lab in labels:
-            z = refl[lab] * y * refl[delta.on_label(lab)]
-            if z.length == y.length and z not in seen:
-                seen[z] = None
-                queue.append(z)
     raise IntegrityError(
         "no straight decomposition found in the same-length orbit; "
         "either the input was not minimal or this is a bug"
@@ -921,66 +838,32 @@ def partial_reduce(
 ) -> PartialReduction:
     """Reduce x by conjugations indexed by finite simple reflections only.
 
-    Terminates at u * core with core minimal for the left W-cosets and
+    One ``OrbitWalk`` over the finite moves goes level by level, as in
+    ``reduce_to_minimal`` (``budget`` caps all levels together), and stops
+    at the first node u * core with core minimal for the left W-cosets and
     u inside the parabolic of the largest Ad(core)-delta-stable label set.
     """
     delta = coerce_delta(x.datum, delta)
-    datum = x.datum
-    refl = simple_reflections(datum)
-    finite_labels = list(range(1, datum.rank + 1))
-    parents: dict[ExtAffElt, tuple[ExtAffElt, str] | None] = {x: None}
-
-    def trace_to(elt):
-        steps = []
-        cur = elt
-        while parents[cur] is not None:
-            prev, move = parents[cur]
-            steps.append(
-                TraceStep(move=move, before=prev, after=cur, dl=cur.length - prev.length)
-            )
-            cur = prev
-        return ReductionTrace(steps=tuple(reversed(steps)), terminal=elt)
-
-    def try_decompose(y):
-        u, core = _left_parabolic_split(y, finite_labels)
-        stable = _max_stable_subset(core, delta)
-        if in_parabolic(u.w, stable):
-            return PartialReduction(
-                terminal=y,
-                finite_factor=u,
-                core=core,
-                stable_set=stable,
-                trace=trace_to(y),
-            )
-        return None
-
+    finite_labels = list(range(1, x.datum.rank + 1))
+    walk = OrbitWalk(
+        lambda y: _simple_moves(y, delta, finite_labels),
+        budget, "partial reduction", {x: None},
+    )
     level = [x]
-    nodes = 0
     while True:
-        seen = {y: None for y in level}
-        queue = list(level)
         drops = []
-        for y in queue:  # also visits what the loop appends
-            nodes += 1
-            if nodes > budget:
-                raise BudgetError(
-                    f"partial reduction exceeded the {budget}-node budget",
-                    partial=trace_to(y),
+        for y, new in walk.walk(level):
+            u, core = _left_parabolic_split(y, finite_labels)
+            stable = _max_stable_subset(core, delta)
+            if in_parabolic(u.w, stable):
+                return PartialReduction(
+                    terminal=y,
+                    finite_factor=u,
+                    core=core,
+                    stable_set=stable,
+                    trace=walk.trace(y),
                 )
-            found = try_decompose(y)
-            if found is not None:
-                return found
-            for lab in finite_labels:
-                z = refl[lab] * y * refl[delta.on_label(lab)]
-                if z.length == y.length:
-                    if z not in seen:
-                        seen[z] = None
-                        parents.setdefault(z, (y, str(lab)))
-                        queue.append(z)
-                elif z.length < y.length:
-                    if z not in parents:
-                        parents[z] = (y, str(lab))
-                        drops.append(z)
+            drops.extend(z for _, z in new)
         if not drops:
             raise IntegrityError(
                 "partial conjugation closed without reaching a normal form"

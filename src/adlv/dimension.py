@@ -15,7 +15,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import IntegrityError
-from .lattices import LatticeQuotient, dot
+from .lattices import dot
 from .roots import RootDatum, is_dominant, min_coset_reps, weyl_group, in_parabolic
 from .elements import (
     DiagramAut,
@@ -38,6 +38,7 @@ from .conjugacy import (
     invariant_f,
     is_minimal_in_class,
     kottwitz_class,
+    kottwitz_quotient,
     newton_point,
     raw_newton_point,
 )
@@ -346,15 +347,6 @@ def dim_grassmannian(
 # The nonemptiness criterion on the Grassmannian
 
 
-def _levi_kappa_quotient(datum: RootDatum, J, delta: DiagramAut) -> LatticeQuotient:
-    gens = [datum.simple_coroots[j - 1] for j in J]
-    for i in range(datum.rank):
-        e = tuple(1 if k == i else 0 for k in range(datum.rank))
-        de = delta.on_coweight(e)
-        gens.append(tuple(a - b for a, b in zip(e, de)))
-    return LatticeQuotient(datum.rank, gens)
-
-
 def mazur_check(
     mu,
     levi_rep: ExtAffElt,
@@ -386,7 +378,7 @@ def mazur_check(
     if not is_dominant(nu):
         raise ValueError("Levi Kottwitz point does not meet the dominant cone")
 
-    quotient = _levi_kappa_quotient(datum, J, delta)
+    quotient = kottwitz_quotient(datum, delta, J)
     diff = tuple(a - b for a, b in zip(mu, levi_rep.mu))
     target = quotient.reduce(diff)
     orbits = _perm_orbits(

@@ -22,10 +22,12 @@ Element literal grammar (whitespace-insensitive):
 from __future__ import annotations
 
 import re
+import sys
+from dataclasses import dataclass
 from math import lcm
 from operator import mul
 
-from .errors import ConfigError, IntegrityError
+from .errors import BudgetError, ConfigError, IntegrityError
 from .roots import FiniteWeylElt, RootDatum, dominant_rep
 
 __all__ = [
@@ -34,11 +36,7 @@ __all__ = [
     "DiagramAut",
     "translation",
     "from_weyl",
-    "multiply",
-    "invert",
-    "length",
     "simple_reflections",
-    "reflection_labels",
     "omega_group",
     "omega_generator",
     "tau_power",
@@ -53,6 +51,9 @@ __all__ = [
     "eta_delta",
     "is_lowest_cell",
     "elements_of_length",
+    "TraceStep",
+    "ReductionTrace",
+    "OrbitWalk",
 ]
 
 
@@ -147,18 +148,6 @@ def identity(datum: RootDatum) -> ExtAffElt:
     return from_weyl(datum.identity_weyl)
 
 
-def multiply(x: ExtAffElt, y: ExtAffElt) -> ExtAffElt:
-    return x * y
-
-
-def invert(x: ExtAffElt) -> ExtAffElt:
-    return x.inverse()
-
-
-def length(x: ExtAffElt) -> int:
-    return x.length
-
-
 _REFL_CACHE: dict[str, dict[int, ExtAffElt]] = {}
 
 
@@ -177,10 +166,6 @@ def simple_reflections(datum: RootDatum) -> dict[int, ExtAffElt]:
                 raise IntegrityError(f"simple reflection s{lab} has length != 1")
         _REFL_CACHE[datum.label] = ordered
     return _REFL_CACHE[datum.label]
-
-
-def reflection_labels(datum: RootDatum) -> tuple[int, ...]:
-    return tuple(simple_reflections(datum))
 
 
 def reduced_word(x: ExtAffElt):
@@ -395,20 +380,11 @@ class DiagramAut:
     def on_label(self, lab: int) -> int:
         return self._label_map[lab]
 
-    def inverse_label(self, lab: int) -> int:
-        for a, b in self._label_map.items():
-            if b == lab:
-                return a
-        raise ValueError(f"unknown label {lab}")
-
     def on_coweight(self, v):
         out = [0] * len(v)
         for i, c in enumerate(v):
             out[self.perm[i]] = c
         return tuple(out)
-
-    def inverse_on_coweight(self, v):
-        return tuple(v[self.perm[i]] for i in range(len(v)))
 
     def on_weyl(self, w: FiniteWeylElt) -> FiniteWeylElt:
         """delta w delta^{-1}, which sends delta(beta) to delta(w(beta))."""
@@ -645,6 +621,120 @@ def eta_delta(x: ExtAffElt, delta: DiagramAut | None = None) -> FiniteWeylElt:
     return delta.inverse().on_weyl(y) * x_w
 
 
+# ---------------------------------------------------------------------------
+# Orbit walks and reduction traces
+
+
+@dataclass(frozen=True)
+class TraceStep:
+    move: str  # "<i>" for conjugation by s_i, "tau^k" for an Omega twist
+    before: ExtAffElt
+    after: ExtAffElt
+    dl: int
+
+    def format(self) -> str:
+        return (
+            f"STEP {self.move} {element_literal(self.before)} -> "
+            f"{element_literal(self.after)} dl={self.dl}"
+        )
+
+
+@dataclass(frozen=True)
+class ReductionTrace:
+    steps: tuple[TraceStep, ...]
+    terminal: ExtAffElt
+
+    def format_lines(self) -> list[str]:
+        return [step.format() for step in self.steps]
+
+    def replay(self, start: ExtAffElt, delta: DiagramAut) -> bool:
+        """Check the trace is a valid move sequence from start to terminal."""
+        refl = simple_reflections(start.datum)
+        cur = start
+        for step in self.steps:
+            if step.before != cur:
+                return False
+            if step.move.startswith("tau^"):
+                tau = tau_power(cur.datum, int(step.move[4:]))
+                after = tau * cur * delta(tau).inverse()
+            else:
+                lab = int(step.move)
+                after = refl[lab] * cur * refl[delta.on_label(lab)]
+            if after != step.after:
+                return False
+            if after.length - cur.length != step.dl or step.dl not in (0, -2):
+                return False
+            cur = after
+        return cur == self.terminal
+
+
+class OrbitWalk:
+    """Breadth-first walks of orbits, the one loop of every orbit search.
+
+    ``expand(y)`` returns ``(drops, same)``, two sequences of ``(move,
+    image)`` pairs: the moves a search reads at y, and the moves the walk
+    follows.  ``walk(level)`` visits ``level`` and then every image that
+    ``same`` reaches from it, each once, in breadth-first order, and yields
+    ``(y, drops)`` for each node y; a caller ends the walk by returning.
+    ``nodes`` counts the nodes of all walks of the object, and the node
+    past ``budget`` raises ``BudgetError`` naming ``phase``.
+
+    With a ``parents`` map (start elements map to None), the walk records
+    ``image -> (node, move)`` for the first node that reaches each image,
+    through ``same`` or ``drops``, and yields only the drops reached for
+    the first time.  ``trace(y)`` reads the moves from a start element to y
+    back from it, and the ``BudgetError`` carries the trace to the node
+    where the budget ran out.  Moves are a label or a length-0 element, and
+    become ``TraceStep`` tokens only when a trace is built.
+    """
+
+    __slots__ = ("expand", "budget", "phase", "parents", "nodes")
+
+    def __init__(self, expand, budget: int, phase: str, parents: dict | None = None):
+        self.expand = expand
+        self.budget = budget
+        self.phase = phase
+        self.parents = parents
+        self.nodes = 0
+
+    def walk(self, level):
+        expand, parents, budget = self.expand, self.parents, self.budget
+        seen = dict.fromkeys(level)
+        queue = list(level)
+        # also visits what the loop appends
+        for self.nodes, y in enumerate(queue, self.nodes + 1):
+            if self.nodes > budget:
+                raise BudgetError(
+                    f"{self.phase} exceeded the {self.budget}-node budget",
+                    partial=None if parents is None else self.trace(y),
+                )
+            drops, same = expand(y)
+            if parents is not None:
+                new = []
+                for move, z in drops:
+                    if z not in parents:
+                        parents[z] = (y, move)
+                        new.append((move, z))
+                drops = new
+            yield y, drops
+            for move, z in same:
+                if z not in seen:
+                    seen[z] = None
+                    if parents is not None:
+                        parents.setdefault(z, (y, move))
+                    queue.append(z)
+
+    def trace(self, elt: ExtAffElt) -> ReductionTrace:
+        steps = []
+        cur = elt
+        while self.parents[cur] is not None:
+            prev, move = self.parents[cur]
+            token = str(move) if isinstance(move, int) else tau_token(move)
+            steps.append(TraceStep(token, prev, cur, cur.length - prev.length))
+            cur = prev
+        return ReductionTrace(steps=tuple(reversed(steps)), terminal=elt)
+
+
 _LOWEST_CELL_CACHE: dict[ExtAffElt, bool] = {}
 
 
@@ -652,10 +742,10 @@ def is_lowest_cell(x: ExtAffElt) -> bool:
     """Membership in the lowest two-sided cell.
 
     An element lies there exactly when it factors as u * w0 * v with all
-    three lengths adding up, w0 the longest finite element; the search walks
-    the additive right quotients of x (peeling letters and length-0 factors
-    off the right) looking for one whose right descents cover every finite
-    label.
+    three lengths adding up, w0 the longest finite element.  An unbudgeted
+    ``OrbitWalk`` goes through the additive right quotients of x (peeling
+    letters and length-0 factors off the right, down to the length of w0)
+    and stops at one whose right descents cover every finite label.
     """
     if x in _LOWEST_CELL_CACHE:
         return _LOWEST_CELL_CACHE[x]
@@ -664,24 +754,19 @@ def is_lowest_cell(x: ExtAffElt) -> bool:
     out = False
     if x.length >= w0_len:
         refl = simple_reflections(datum)
-        finite = list(range(1, datum.rank + 1))
+        finite = set(range(1, datum.rank + 1))
         omegas = [t for t in omega_group(datum) if not t.is_identity]
-        seen = {x: None}
-        queue = [x]
-        for z in queue:  # also visits what the loop appends
-            if all((z * refl[i]).length < z.length for i in finite):
-                out = True
-                break
-            for lab, s in refl.items():
-                zs = z * s
-                if zs.length < z.length and zs.length >= w0_len and zs not in seen:
-                    seen[zs] = None
-                    queue.append(zs)
-            for tau in omegas:
-                zt = z * tau
-                if zt not in seen:
-                    seen[zt] = None
-                    queue.append(zt)
+
+        def quotients(z):
+            """(right descents of z, the quotients the walk follows)."""
+            images = [(lab, z * s) for lab, s in refl.items()]
+            descents = [(lab, zs) for lab, zs in images if zs.length < z.length]
+            follow = [(lab, zs) for lab, zs in descents if zs.length >= w0_len]
+            return descents, follow + [(tau, z * tau) for tau in omegas]
+
+        walk = OrbitWalk(quotients, sys.maxsize, "lowest-cell search")
+        out = any(finite <= {lab for lab, _ in descents}
+                  for _, descents in walk.walk([x]))
     _LOWEST_CELL_CACHE[x] = out
     return out
 

@@ -14,23 +14,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import BudgetError, IntegrityError
+from .errors import IntegrityError
 from .roots import RootDatum
 from .elements import (
     AffineReflection,
     DiagramAut,
     ExtAffElt,
+    OrbitWalk,
     coerce_delta,
     element_literal,
-    omega_group,
     reduced_word,
     simple_reflections,
 )
-from .conjugacy import class_key
+from .conjugacy import _moves, class_key
 
 __all__ = [
     "XiPoly",
-    "HeckeElt",
     "ClassPolyTable",
     "hecke_mul_basis",
     "hecke_mul",
@@ -173,10 +172,7 @@ XiPoly.ONE = XiPoly((1,))
 XiPoly.XI = XiPoly((0, 1))
 
 
-HeckeElt = dict  # finitely supported {ExtAffElt: XiPoly}
-
-
-def t_basis(x: ExtAffElt) -> HeckeElt:
+def t_basis(x: ExtAffElt) -> dict:
     return {x: XiPoly.ONE}
 
 
@@ -192,7 +188,7 @@ def _resolve_reflection(datum: RootDatum, s):
     raise TypeError(f"cannot interpret {s!r} as a simple reflection")
 
 
-def hecke_mul_basis(x: ExtAffElt, s) -> HeckeElt:
+def hecke_mul_basis(x: ExtAffElt, s) -> dict:
     """T_x T_s: T_{xs} when the length goes up, else xi T_x + T_{xs}."""
     s = _resolve_reflection(x.datum, s)
     xs = x * s
@@ -201,7 +197,7 @@ def hecke_mul_basis(x: ExtAffElt, s) -> HeckeElt:
     return {x: XiPoly.XI, xs: XiPoly.ONE}
 
 
-def _add_into(acc: HeckeElt, x: ExtAffElt, c: XiPoly):
+def _add_into(acc: dict, x: ExtAffElt, c: XiPoly):
     if c.is_zero:
         return
     cur = acc.get(x)
@@ -210,15 +206,15 @@ def _add_into(acc: HeckeElt, x: ExtAffElt, c: XiPoly):
         del acc[x]
 
 
-def hecke_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
+def hecke_mul(a: dict, b: dict) -> dict:
     """Product of two T-basis linear combinations."""
-    out: HeckeElt = {}
+    out = {}
     for y, cb in b.items():
         word, tau = reduced_word(y)
         refl = simple_reflections(y.datum)
-        partial: HeckeElt = dict(a)
+        partial = dict(a)
         for lab in word:
-            nxt: HeckeElt = {}
+            nxt = {}
             for x, c in partial.items():
                 for z, piece in hecke_mul_basis(x, refl[lab]).items():
                     _add_into(nxt, z, c * piece)
@@ -274,11 +270,11 @@ class ClassPolyEngine:
 
     Two memos hold the engine's work.  ``memo`` maps an element to its
     finished table.  The move memo maps each element an orbit search has
-    visited to its move expansion, computed with group products once: the
-    labels ``i`` whose twisted conjugation ``s_i y s_delta(i)`` is shorter
-    than y, and the same-length neighbours of y under simple and length-0
-    moves, both in search order.  The searches replay it, so options, their
-    order and node counts do not depend on how warm it is.  ``fork(choose)``
+    visited to its moves from ``conjugacy._moves``, computed with group
+    products once: the simple moves ``s_i y s_delta(i)`` that shorten y, and
+    the same-length moves under simple and length-0 elements, both in search
+    order.  The searches replay it, so options, their order and node counts
+    do not depend on how warm it is.  ``fork(choose)``
     gives an engine with another chooser that shares the move memo and the
     budget but starts with an empty ``memo``.  Both memos live on the engine
     and its forks, so dropping them frees the memory.
@@ -301,47 +297,29 @@ class ClassPolyEngine:
         return other
 
     def _expand(self, y: ExtAffElt):
-        """(drop labels, same-length neighbours) of y, from the move memo."""
+        """``conjugacy._moves`` of y, read from the move memo."""
         found = self._moves.get(y)
         if found is None:
-            delta = self.delta
-            refl = simple_reflections(self.datum)
-            n = y.length
-            drops = []
-            same = []
-            for lab, s in refl.items():
-                z = s * y * refl[delta.on_label(lab)]
-                if z.length < n:
-                    drops.append(lab)
-                elif z.length == n:
-                    same.append(z)
-            for tau in omega_group(self.datum):
-                if not tau.is_identity:
-                    same.append(tau * y * delta(tau).inverse())
-            found = self._moves[y] = (tuple(drops), tuple(same))
+            found = self._moves[y] = _moves(y, self.delta)
         return found
 
     def _descent_options(self, x: ExtAffElt, first_only: bool):
-        """Pairs (w1, label) with w1 in the same-length orbit, conjugation drops."""
-        seen = {x}
-        queue = [x]
+        """Pairs (w1, label) with w1 in the same-length orbit, conjugation drops.
+
+        An ``OrbitWalk`` of x over the move memo, in walk order; with
+        ``first_only`` it stops at the first pair.
+        """
+        walk = OrbitWalk(self._expand, self.budget, "class polynomial search")
         options = []
-        for nodes, y in enumerate(queue, 1):  # also visits what the loop appends
-            self.nodes += 1
-            if nodes > self.budget:
-                raise BudgetError(
-                    f"class polynomial search exceeded the {self.budget}-node budget"
-                )
-            drops, same = self._expand(y)
-            if drops:
-                if first_only:
-                    return [(y, drops[0])]
-                options.extend((y, lab) for lab in drops)
-            for z in same:
-                if z not in seen:
-                    seen.add(z)
-                    queue.append(z)
-        return options
+        try:
+            for y, drops in walk.walk([x]):
+                if drops:
+                    if first_only:
+                        return [(y, drops[0][0])]
+                    options.extend((y, lab) for lab, _ in drops)
+            return options
+        finally:
+            self.nodes += walk.nodes
 
     def table(self, x: ExtAffElt) -> dict[str, XiPoly]:
         if x in self.memo:

@@ -31,10 +31,6 @@ def vec_mat(v, a):
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
 
 
-def transpose(a):
-    return tuple(zip(*a))
-
-
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")

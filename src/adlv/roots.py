@@ -28,7 +28,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .errors import ConfigError
@@ -343,13 +343,28 @@ class RootDatum:
             return elt
 
     def weyl_from_matrix(self, mat) -> FiniteWeylElt:
-        """The element acting on coweights by ``mat`` (rows w^{-1}(alpha_i))."""
+        """The element acting on coweights by ``mat`` (rows w^{-1}(alpha_i)).
+
+        A matrix not yet interned must permute the roots, and greedy left
+        descent from it must end at the identity; a diagram symmetry permutes
+        the roots but has no descent.  Otherwise ``ValueError`` is raised.
+        """
         n = len(self.positive_roots)
         try:
             head = [self.root_index[vec_mat(a, mat)] for a in self.positive_roots]
         except KeyError:
             raise ValueError("matrix is not a Weyl group element") from None
-        return self.weyl_from_perm(tuple(head + [(k + n) % (2 * n) for k in head]))
+        p = tuple(head + [(k + n) % (2 * n) for k in head])
+        if p not in self._weyl_cache:
+            q = p
+            while True:
+                i = next((i for i, k in enumerate(self.simple_index, 1) if q[k] >= n), 0)
+                if not i:
+                    break
+                q = itemgetter(*self.simple_weyl(i).p)(q)  # (s_i * u).p
+            if q != self._id_weyl.p:
+                raise ValueError("matrix is not a Weyl group element")
+        return self.weyl_from_perm(p)
 
     @property
     def identity_weyl(self) -> FiniteWeylElt:
@@ -359,15 +374,14 @@ class RootDatum:
         if i not in self._simple_weyl:
             if not 1 <= i <= self.rank:
                 raise ValueError(f"no simple reflection with label {i}")
-            r = self.rank
-            mat = tuple(
-                tuple(
-                    (1 if k == j else 0) - (self.cartan[i - 1][k] if j == i - 1 else 0)
-                    for j in range(r)
-                )
-                for k in range(r)
-            )
-            self._simple_weyl[i] = self.weyl_from_matrix(mat)
+            # s_i(a) = a - <a, alpha_i^vee> alpha_i on roots, an involution
+            row = self.cartan[i - 1]
+            perm = []
+            for a in self.roots:
+                b = list(a)
+                b[i - 1] -= sum(map(mul, row, a))
+                perm.append(self.root_index[tuple(b)])
+            self._simple_weyl[i] = self.weyl_from_perm(tuple(perm))
         return self._simple_weyl[i]
 
     def reflection_in_root(self, root, coroot) -> FiniteWeylElt:

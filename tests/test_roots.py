@@ -363,3 +363,23 @@ def test_root_permutation_kernel_on_large_types(label):
         _check_element(datum, u, gens, [rng.randrange(1, datum.rank + 1)])
     if label != "E6":
         assert datum._weyl_levels is None  # W(E7) and W(E8) are never built
+
+
+@pytest.mark.parametrize(
+    "label,symmetry",
+    [
+        ("A2", ((0, 1), (1, 0))),  # the diagram flip
+        ("D4", ((0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0))),  # triality
+    ],
+)
+def test_weyl_from_matrix_rejects_root_symmetries_outside_w(label, symmetry):
+    # these permute the roots but are not in W, and neither is any product
+    # of one with an element of W
+    datum = build_root_datum(label)
+    group = weyl_group(datum)
+    for w in group:
+        for mat in (symmetry, mat_mul(symmetry, w.mat), mat_mul(w.mat, symmetry)):
+            with pytest.raises(ValueError, match="not a Weyl group element"):
+                datum.weyl_from_matrix(mat)
+        assert datum.weyl_from_matrix(w.mat) is w
+    assert set(datum._weyl_cache.values()) == set(group)
