@@ -72,6 +72,7 @@ from .hecke import (
 from .dimension import (
     EMPTY,
     BElement,
+    DimProfile,
     DimReport,
     GhkrReport,
     defect_basic,

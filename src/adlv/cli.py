@@ -1,7 +1,9 @@
 """Command-line interface: classify, dim, and sweep subcommands.
 
 Exit codes: 0 ok, 2 usage or configuration problem, 3 integrity failure,
-4 property violation in a sweep, 5 search budget exhausted.  The class
+4 property violation in a sweep, 5 search budget exhausted.  A reader that
+closes stdout early (``adlv sweep ... | head``) ends the run quietly with
+exit code 0: the rest of the output goes to ``os.devnull``.  The class
 polynomial disk cache is a one-line JSON header followed by one JSON record
 per element; a file whose header does not match the run is neither read
 nor written, and a record that does not parse as an object with a string
@@ -42,12 +44,10 @@ from .hecke import ClassPolyEngine, XiPoly, verify_path_independence
 from .dimension import (
     EMPTY,
     BElement,
+    DimProfile,
     defect_basic,
-    dim_adlv,
     dim_grassmannian,
-    ghkr_check,
     mazur_check,
-    virtual_dimension,
 )
 
 SCHEMA_VERSION = 1
@@ -273,16 +273,15 @@ def cmd_dim(args) -> int:
             _, trace = reduce_to_minimal(w, delta, budget=config.budget)
             for line in trace.format_lines():
                 sys.stdout.write(line + "\n")
-        report = dim_adlv(w, b, delta, engine=engine)
-        if b.is_basic and kottwitz_class(w, delta) == b.kappa:
-            report.virtual_dim = virtual_dimension(w, b, delta, defect=args.defect)
-        elif args.defect is not None and kottwitz_class(w, delta) == b.kappa:
-            report.virtual_dim = virtual_dimension(w, b, delta, defect=args.defect)
+        profile = DimProfile(w, delta, engine)
+        report = profile.report(b)
+        if (b.is_basic or args.defect is not None) and profile.kappa == b.kappa:
+            report.virtual_dim = profile.virtual(b, defect=args.defect)
     if config.fmt == "json":
         json.dump(report.jsonable(), sys.stdout, sort_keys=True)
         sys.stdout.write("\n")
     else:
-        sys.stdout.write(f"element: {element_literal(w)}\n")
+        sys.stdout.write(f"element: {profile.literal}\n")
         sys.stdout.write(f"b: {b.label}\n")
         for c in report.contributions:
             sys.stdout.write(
@@ -341,8 +340,9 @@ def cmd_sweep(args) -> int:
         elif check in ("ghkr", "upper"):
             out.write("element\tb\tdim\tvirtual\tstatus\n")
             for w in _sweep_elements(datum, args.max_length):
+                profile = DimProfile(w, delta, engine)
                 for b in b_set:
-                    report = ghkr_check(w, b, delta, engine=engine)
+                    report = profile.ghkr(b)
                     status = "skip"
                     if check == "ghkr":
                         if report.equality_applicable:
@@ -358,7 +358,7 @@ def cmd_sweep(args) -> int:
                         "-" if report.virtual is None else _fraction_str(report.virtual)
                     )
                     out.write(
-                        f"{element_literal(w)}\t{b.label}\t{dim}\t{virt}\t{status}\n"
+                        f"{report.element}\t{b.label}\t{dim}\t{virt}\t{status}\n"
                     )
         elif check == "mazur":
             out.write("mu\tb\tmazur\tnonempty\tstatus\n")
@@ -498,7 +498,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped, not the computation; silence the final flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,8 +3,14 @@
 The dimension of X_w(b) is the maximum of (len(w) + len(O) + deg f_{w,O})/2
 over the twisted classes O whose invariant matches b, minus <nu_b, 2 rho>;
 the variety is empty exactly when every matching class polynomial vanishes.
-Emptiness is encoded by the sentinel ``EMPTY`` (= -inf), which compares
-correctly against every candidate dimension.
+Emptiness is encoded by the exact sentinel ``EMPTY``, which equals only
+itself, orders below every int and ``Fraction``, and prints as ``EMPTY``.
+
+``DimProfile`` holds what these formulas need from one element w: its class
+polynomials grouped by class invariant, read once, and its Kottwitz class,
+finite invariant and lowest-cell test, each computed once when first needed.
+It answers ``report(b)`` and ``ghkr(b)`` for any b; ``dim_adlv``,
+``ghkr_check`` and ``virtual_dimension`` are views of it for a single b.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import IntegrityError
 from .lattices import dot
@@ -49,6 +56,7 @@ __all__ = [
     "BElement",
     "ClassContribution",
     "DimReport",
+    "DimProfile",
     "dim_adlv",
     "dim_grassmannian",
     "mazur_check",
@@ -60,7 +68,44 @@ __all__ = [
     "format_q_poly",
 ]
 
-EMPTY = float("-inf")
+
+class _Empty:
+    """The dimension of an empty variety.
+
+    ``EMPTY`` is the one instance.  It equals only itself, orders below every
+    int and ``Fraction`` from either side, and prints as ``EMPTY``; copies
+    and pickles return the same instance.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "EMPTY"
+
+    def __reduce__(self):
+        return "EMPTY"
+
+    def _order(self, other, below, same):
+        if other is self:
+            return same
+        if isinstance(other, Rational):
+            return below
+        return NotImplemented
+
+    def __lt__(self, other):
+        return self._order(other, True, False)
+
+    def __le__(self, other):
+        return self._order(other, True, True)
+
+    def __gt__(self, other):
+        return self._order(other, False, False)
+
+    def __ge__(self, other):
+        return self._order(other, False, True)
+
+
+EMPTY = _Empty()
 
 
 def _as_number(x):
@@ -73,11 +118,12 @@ def _as_number(x):
 class BElement:
     """A sigma-conjugacy class, held as its combinatorial invariant.
 
-    ``is_basic`` and the defect of a basic class depend only on the class, so
-    each is computed once per instance and kept (``functools.cached_property``
-    stores it in the instance dict, outside the dataclass fields, so ``==`` and
-    ``hash`` are unchanged).  A computation that raises is not cached.  Use
-    ``defect_basic``, which checks its inputs on every call, to read the defect.
+    ``newton_pairing_2rho``, ``is_basic`` and the defect of a basic class
+    depend only on the class, so each is computed once per instance and kept
+    (``functools.cached_property`` stores it in the instance dict, outside the
+    dataclass fields, so ``==`` and ``hash`` are unchanged).  A computation
+    that raises is not cached.  Use ``defect_basic``, which checks its inputs
+    on every call, to read the defect.
     """
 
     datum: RootDatum
@@ -126,7 +172,7 @@ class BElement:
     def kappa(self):
         return self.descriptor.kappa
 
-    @property
+    @cached_property
     def newton_pairing_2rho(self) -> Fraction:
         return Fraction(dot(self.datum.rho2, self.newton))
 
@@ -234,44 +280,192 @@ class DimReport:
         }
 
 
+@dataclass(frozen=True)
+class GhkrReport:
+    element: str
+    b_label: str
+    dim: object
+    virtual: object
+    kappa_match: bool
+    lower_applicable: bool
+    lower_holds: bool | None
+    upper_applicable: bool
+    upper_holds: bool | None
+    equality_applicable: bool
+    equality_holds: bool | None
+
+    def jsonable(self):
+        def num(x):
+            if x is None or isinstance(x, (bool, str)):
+                return x
+            if x == EMPTY:
+                return "EMPTY"
+            v = _as_number(x)
+            return v if isinstance(v, int) else str(v)
+
+        return {
+            "element": self.element,
+            "b": self.b_label,
+            "dim": num(self.dim),
+            "virtual_dim": num(self.virtual),
+            "kappa_match": self.kappa_match,
+            "lower": {"applicable": self.lower_applicable, "holds": self.lower_holds},
+            "upper": {"applicable": self.upper_applicable, "holds": self.upper_holds},
+            "equal": {
+                "applicable": self.equality_applicable,
+                "holds": self.equality_holds,
+            },
+        }
+
+
+class DimProfile:
+    """dim X_w(b) and the GHKR comparison of one element w, for any b.
+
+    The class-polynomial table of w is read once, on the first query, through
+    ``class_polynomials`` with its engine checks, and grouped by the invariant
+    of each class (``class_info``): an invariant keeps its contributions in
+    class-key order and its best candidate.  A query for b is then one lookup.
+    The literal of w, kappa(w), eta_delta(w) and the lowest-cell hypothesis of
+    the lower bound are computed at most once each, when first needed.  Every
+    query checks that b was formed for the profile's twist; the defect of b is
+    read through ``defect_basic``, which checks its inputs on every call.
+    """
+
+    def __init__(
+        self,
+        w: ExtAffElt,
+        delta: DiagramAut | None = None,
+        engine: ClassPolyEngine | None = None,
+    ):
+        self.w = w
+        self.delta = coerce_delta(w.datum, delta)
+        self.engine = engine
+
+    @cached_property
+    def _by_invariant(self) -> dict:
+        """{descriptor: (contributions, best candidate)} over w's table."""
+        w, delta = self.w, self.delta
+        table = class_polynomials(w, delta, engine=self.engine)
+        groups = {}
+        for key, poly in table.entries.items():
+            info = class_info(w.datum, delta, key)
+            groups.setdefault(info["descriptor"], []).append(
+                ClassContribution(
+                    rep=key,
+                    length=info["length"],
+                    degree=poly.degree,
+                    candidate=Fraction(w.length + info["length"] + poly.degree, 2),
+                )
+            )
+        return {
+            desc: (tuple(cs), max(c.candidate for c in cs))
+            for desc, cs in groups.items()
+        }
+
+    @cached_property
+    def literal(self) -> str:
+        return element_literal(self.w)
+
+    @cached_property
+    def kappa(self) -> tuple[int, ...]:
+        return kottwitz_class(self.w, self.delta)
+
+    @cached_property
+    def eta(self):
+        return eta_delta(self.w, self.delta)
+
+    @cached_property
+    def _lower_cell(self) -> bool:
+        """The hypotheses of the lower bound on w alone: an irreducible type,
+        the lowest two-sided cell, and eta_delta(w) of full delta-support."""
+        datum = self.w.datum
+        return (
+            len(datum.components) == 1
+            and is_lowest_cell(self.w)
+            and supp_delta(from_weyl(self.eta), self.delta)
+            == frozenset(range(1, datum.rank + 1))
+        )
+
+    def report(self, b: BElement) -> DimReport:
+        """Dimension of X_w(b) by the degree formula over matching classes."""
+        if b.delta_perm != self.delta.perm:
+            raise ValueError("b was formed for a different twist")
+        contributions, best = self._by_invariant.get(b.descriptor, ((), EMPTY))
+        drop = b.newton_pairing_2rho
+        dim = EMPTY if best is EMPTY else best - drop
+        return DimReport(
+            input={
+                "element": self.literal,
+                "b": b.descriptor.jsonable() | {"label": b.label},
+                "type": self.w.datum.label,
+            },
+            contributions=list(contributions),
+            dim=dim,
+            nonempty=dim is not EMPTY,
+            newton_drop=drop,
+        )
+
+    def virtual(self, b: BElement, defect: int | None = None) -> Fraction:
+        """(len(w) + len(eta(w)) - def(b)) / 2 - <nu_b, rho>.
+
+        Requires the Kottwitz classes of w and b to agree; the defect is
+        computed for basic b and must be supplied explicitly otherwise.
+        """
+        if self.kappa != b.kappa:
+            raise ValueError("Kottwitz classes of the element and b differ")
+        if defect is None:
+            if not b.is_basic:
+                raise ValueError("non-basic b needs an explicit defect")
+            defect = defect_basic(b, self.delta)
+        return (
+            Fraction(self.w.length + self.eta.length - defect, 2)
+            - b.newton_pairing_2rho / 2
+        )
+
+    def ghkr(self, b: BElement) -> GhkrReport:
+        """Compare the true dimension against the virtual dimension.
+
+        The lower bound applies to basic b and elements of the lowest
+        two-sided cell whose finite invariant has full support; the upper
+        bound applies to the untwisted case.  Failed hypotheses are recorded,
+        never raised.
+        """
+        report = self.report(b)
+        kappa_match = self.kappa == b.kappa
+        basic = kappa_match and b.is_basic
+        virtual = self.virtual(b) if basic else None
+        lower_applicable = basic and self._lower_cell
+        upper_applicable = basic and self.delta.is_identity
+        lower_holds = (report.dim >= virtual) if lower_applicable else None
+        upper_holds = (report.dim <= virtual) if upper_applicable else None
+        equality_applicable = lower_applicable and upper_applicable
+        equality_holds = (report.dim == virtual) if equality_applicable else None
+        return GhkrReport(
+            element=self.literal,
+            b_label=b.label,
+            dim=report.dim,
+            virtual=virtual,
+            kappa_match=kappa_match,
+            lower_applicable=lower_applicable,
+            lower_holds=lower_holds,
+            upper_applicable=upper_applicable,
+            upper_holds=upper_holds,
+            equality_applicable=equality_applicable,
+            equality_holds=equality_holds,
+        )
+
+
 def dim_adlv(
     w: ExtAffElt,
     b: BElement,
     delta: DiagramAut | None = None,
     engine: ClassPolyEngine | None = None,
 ) -> DimReport:
-    """Dimension of X_w(b) by the degree formula over matching classes."""
-    delta = coerce_delta(w.datum, delta)
-    if b.delta_perm != delta.perm:
-        raise ValueError("b was formed for a different twist")
-    table = class_polynomials(w, delta, engine=engine)
-    contributions = []
-    best = EMPTY
-    for key, poly in table.entries.items():
-        info = class_info(w.datum, delta, key)
-        if info["descriptor"] != b.descriptor:
-            continue
-        cand = Fraction(w.length + info["length"] + poly.degree, 2)
-        contributions.append(
-            ClassContribution(
-                rep=key, length=info["length"], degree=poly.degree, candidate=cand
-            )
-        )
-        if cand > best:
-            best = cand
-    drop = b.newton_pairing_2rho
-    dim = EMPTY if best == EMPTY else best - drop
-    return DimReport(
-        input={
-            "element": element_literal(w),
-            "b": b.descriptor.jsonable() | {"label": b.label},
-            "type": w.datum.label,
-        },
-        contributions=sorted(contributions, key=lambda c: c.rep),
-        dim=dim,
-        nonempty=dim != EMPTY,
-        newton_drop=drop,
-    )
+    """Dimension of X_w(b): ``DimProfile(w, delta, engine).report(b)``.
+
+    To query many b for one w, build the profile once and ask it.
+    """
+    return DimProfile(w, delta, engine).report(b)
 
 
 def _double_coset(datum: RootDatum, mu) -> list[ExtAffElt]:
@@ -317,7 +511,7 @@ def dim_grassmannian(
         for elt in _double_coset(datum, mu):
             r = dim_adlv(elt, b, delta, engine=engine)
             x_w, _, _ = double_coset_form(elt)
-            limit = report.dim - l0 + x_w.length
+            limit = EMPTY if dim is EMPTY else dim + x_w.length
             if not (r.dim == EMPTY or r.dim <= limit):
                 raise IntegrityError(
                     f"partial-conjugation bound fails at {element_literal(elt)}"
@@ -524,58 +718,10 @@ def virtual_dimension(
     """(len(w) + len(eta(w)) - def(b)) / 2 - <nu_b, rho>.
 
     Requires the Kottwitz classes of w and b to agree; the defect is computed
-    for basic b and must be supplied explicitly otherwise.
+    for basic b and must be supplied explicitly otherwise.  A view of
+    ``DimProfile(w, delta).virtual(b, defect)``, which reads no table.
     """
-    delta = coerce_delta(w.datum, delta)
-    if kottwitz_class(w, delta) != b.kappa:
-        raise ValueError("Kottwitz classes of the element and b differ")
-    if defect is None:
-        if not b.is_basic:
-            raise ValueError("non-basic b needs an explicit defect")
-        defect = defect_basic(b, delta)
-    eta = eta_delta(w, delta)
-    return (
-        Fraction(w.length + eta.length - defect, 2)
-        - Fraction(dot(w.datum.rho2, b.newton), 2)
-    )
-
-
-@dataclass(frozen=True)
-class GhkrReport:
-    element: str
-    b_label: str
-    dim: object
-    virtual: object
-    kappa_match: bool
-    lower_applicable: bool
-    lower_holds: bool | None
-    upper_applicable: bool
-    upper_holds: bool | None
-    equality_applicable: bool
-    equality_holds: bool | None
-
-    def jsonable(self):
-        def num(x):
-            if x is None or isinstance(x, (bool, str)):
-                return x
-            if x == EMPTY:
-                return "EMPTY"
-            v = _as_number(x)
-            return v if isinstance(v, int) else str(v)
-
-        return {
-            "element": self.element,
-            "b": self.b_label,
-            "dim": num(self.dim),
-            "virtual_dim": num(self.virtual),
-            "kappa_match": self.kappa_match,
-            "lower": {"applicable": self.lower_applicable, "holds": self.lower_holds},
-            "upper": {"applicable": self.upper_applicable, "holds": self.upper_holds},
-            "equal": {
-                "applicable": self.equality_applicable,
-                "holds": self.equality_holds,
-            },
-        }
+    return DimProfile(w, delta).virtual(b, defect)
 
 
 def ghkr_check(
@@ -584,44 +730,14 @@ def ghkr_check(
     delta: DiagramAut | None = None,
     engine: ClassPolyEngine | None = None,
 ) -> GhkrReport:
-    """Compare the true dimension against the virtual dimension.
+    """Compare the true dimension against the virtual dimension:
+    ``DimProfile(w, delta, engine).ghkr(b)``.
 
     The lower bound applies to basic b and elements of the lowest two-sided
     cell whose finite invariant has full support; the upper bound applies to
     the untwisted case.  Failed hypotheses are recorded, never raised.
     """
-    delta = coerce_delta(w.datum, delta)
-    report = dim_adlv(w, b, delta, engine=engine)
-    kappa_match = kottwitz_class(w, delta) == b.kappa
-    virtual = None
-    if kappa_match and b.is_basic:
-        virtual = virtual_dimension(w, b, delta)
-    lower_applicable = (
-        kappa_match
-        and b.is_basic
-        and len(w.datum.components) == 1
-        and is_lowest_cell(w)
-        and supp_delta(from_weyl(eta_delta(w, delta)), delta)
-        == frozenset(range(1, w.datum.rank + 1))
-    )
-    upper_applicable = kappa_match and b.is_basic and delta.is_identity
-    lower_holds = (report.dim >= virtual) if lower_applicable else None
-    upper_holds = (report.dim <= virtual) if upper_applicable else None
-    equality_applicable = lower_applicable and upper_applicable
-    equality_holds = (report.dim == virtual) if equality_applicable else None
-    return GhkrReport(
-        element=element_literal(w),
-        b_label=b.label,
-        dim=report.dim,
-        virtual=virtual,
-        kappa_match=kappa_match,
-        lower_applicable=lower_applicable,
-        lower_holds=lower_holds,
-        upper_applicable=upper_applicable,
-        upper_holds=upper_holds,
-        equality_applicable=equality_applicable,
-        equality_holds=equality_holds,
-    )
+    return DimProfile(w, delta, engine).ghkr(b)
 
 
 # ---------------------------------------------------------------------------

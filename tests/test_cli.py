@@ -265,3 +265,29 @@ def test_cache_flag_wins_over_env_var(tmp_path, capsys, monkeypatch):
                      "--cache", str(flag_cache))
     assert code == 0
     assert flag_cache.exists() and not env_cache.exists()
+
+
+def test_closed_stdout_ends_quietly_with_exit_0():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    # about 220 kB of rows, more than a pipe and both stdio buffers hold, so
+    # the run is still writing when the reader goes away
+    b_list = ";".join(["unit"] * 40)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adlv.cli", "sweep", "--type", "A2",
+         "--max-length", "6", "--check", "ghkr", "--b", b_list],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"element\tb\tdim\tvirtual\tstatus\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert "Traceback" not in err and "BrokenPipe" not in err, err
