@@ -8,9 +8,9 @@ polynomial disk cache is a one-line JSON header followed by one JSON record
 per element; a file whose header does not match the run is neither read
 nor written, and a record that does not parse as an object with a string
 ``element`` and an object ``table`` is skipped.  The tables finished before
-a run exhausts its budget are saved too.  The environment variable
-``ADLV_CACHE`` names the cache when ``--cache`` is not given; ``--cache``
-wins when both are set.
+a run exhausts its budget or its reader closes stdout are saved too.  The
+environment variable ``ADLV_CACHE`` names the cache when ``--cache`` is not
+given; ``--cache`` wins when both are set.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -68,7 +68,6 @@ class JobConfig:
     cache: str | None = None
     seed: int = 0
     budget: int = 10**6
-    extra: dict = field(default_factory=dict)
 
     def datum(self):
         return build_root_datum(self.type_label)
@@ -171,14 +170,16 @@ class TableCache:
 
     @contextmanager
     def saving(self, engine: ClassPolyEngine):
-        """Save the engine's tables when the block ends or runs out of budget.
+        """Save the engine's tables when the block ends, runs out of budget,
+        or loses its reader.
 
         ``engine.memo`` holds finished tables only, so they stay valid after a
-        ``BudgetError``; any other failure saves nothing.
+        ``BudgetError`` or a ``BrokenPipeError``; any other failure saves
+        nothing.
         """
         try:
             yield
-        except BudgetError:
+        except (BudgetError, BrokenPipeError):
             self.save(engine)
             raise
         self.save(engine)

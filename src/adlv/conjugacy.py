@@ -8,6 +8,7 @@ change 0 or -2 when accepted), and the length-preserving twist
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -28,11 +29,13 @@ from .elements import (
     OrbitWalk,
     ReductionTrace,
     TraceStep,
+    _conjugate_labels,
     coerce_delta,
     element_literal,
     elements_of_length,
     identity,
     omega_group,
+    parse_element,
     simple_reflections,
 )
 
@@ -110,9 +113,6 @@ def newton_point(x: ExtAffElt, delta: DiagramAut | None = None):
     return bar
 
 
-_KOTTWITZ_CACHE: dict[tuple, LatticeQuotient] = {}
-
-
 def kottwitz_quotient(datum: RootDatum, delta: DiagramAut | None = None,
                       J=None) -> LatticeQuotient:
     """P modulo (Q_J + (1 - delta) P), Q_J spanned by the simple coroots of J.
@@ -120,17 +120,19 @@ def kottwitz_quotient(datum: RootDatum, delta: DiagramAut | None = None,
     J defaults to every finite label, and then this is the target of the
     Kottwitz map; ``mazur_check`` reads the quotient of a Levi's J.
     """
-    delta = coerce_delta(datum, delta)
-    key = (datum.label, delta.perm, J)
-    if key not in _KOTTWITZ_CACHE:
-        labels = range(1, datum.rank + 1) if J is None else J
-        gens = [datum.simple_coroots[j - 1] for j in labels]
-        for i in range(datum.rank):
-            e = tuple(1 if j == i else 0 for j in range(datum.rank))
-            de = delta.on_coweight(e)
-            gens.append(tuple(a - b for a, b in zip(e, de)))
-        _KOTTWITZ_CACHE[key] = LatticeQuotient(datum.rank, gens)
-    return _KOTTWITZ_CACHE[key]
+    return _kottwitz_quotient(coerce_delta(datum, delta), J)
+
+
+@functools.cache
+def _kottwitz_quotient(delta: DiagramAut, J) -> LatticeQuotient:
+    datum = delta.datum
+    labels = range(1, datum.rank + 1) if J is None else J
+    gens = [datum.simple_coroots[j - 1] for j in labels]
+    for i in range(datum.rank):
+        e = tuple(1 if j == i else 0 for j in range(datum.rank))
+        de = delta.on_coweight(e)
+        gens.append(tuple(a - b for a, b in zip(e, de)))
+    return LatticeQuotient(datum.rank, gens)
 
 
 def kottwitz_class(x: ExtAffElt, delta: DiagramAut | None = None) -> tuple[int, ...]:
@@ -229,22 +231,34 @@ def is_minimal_in_class(x: ExtAffElt, delta: DiagramAut | None = None,
 
 
 class _TwistedClassMap:
-    """The twisted classes of W under u . y = u y delta(u)^{-1}, filled lazily.
+    """The class state of one (datum, delta), filled lazily.
 
-    ``root`` maps each element of a filled class to the class root r (the
-    element the class was first queried on), ``conj`` maps it to a
-    conjugator c_y with c_y r delta(c_y)^{-1} = y, and ``centraliser`` maps
-    each root to its twisted centraliser Z(r) = {u : u r delta(u)^{-1} = r}.
-    One instance lives on each interned ``DiagramAut``.
+    For the twisted classes of W under u . y = u y delta(u)^{-1}: ``root``
+    maps each element of a filled class to the class root r (the element
+    the class was first queried on), ``conj`` maps it to a conjugator c_y
+    with c_y r delta(c_y)^{-1} = y, and ``centraliser`` maps each root to
+    its twisted centraliser Z(r) = {u : u r delta(u)^{-1} = r}.
+
+    For the twisted classes of the extended affine Weyl group: ``levels``
+    maps a length to its ``_LevelIndex``, ``keys`` maps each element whose
+    class key is known to that key (``class_key``), and ``info`` maps a
+    class key to its entry (``class_info``).
+
+    One instance lives on each interned ``DiagramAut`` as ``class_map``
+    (``_class_map`` makes it), so no state is shared between two twists,
+    and it lives as long as the datum.
     """
 
-    __slots__ = ("delta", "root", "conj", "centraliser")
+    __slots__ = ("delta", "root", "conj", "centraliser", "levels", "keys", "info")
 
     def __init__(self, delta: DiagramAut):
         self.delta = delta
         self.root: dict[FiniteWeylElt, FiniteWeylElt] = {}
         self.conj: dict[FiniteWeylElt, FiniteWeylElt] = {}
         self.centraliser: dict[FiniteWeylElt, tuple[FiniteWeylElt, ...]] = {}
+        self.levels: dict[int, _LevelIndex] = {}
+        self.keys: dict[ExtAffElt, str] = {}
+        self.info: dict[str, dict] = {}
 
     def fill(self, r: FiniteWeylElt) -> None:
         """Walk the class of r by y -> s_i y s_delta(i), then close Z(r).
@@ -292,6 +306,12 @@ class _TwistedClassMap:
         self.centraliser[r] = tuple(group)
 
 
+def _class_map(delta: DiagramAut) -> _TwistedClassMap:
+    if delta.class_map is None:
+        delta.class_map = _TwistedClassMap(delta)
+    return delta.class_map
+
+
 def _close_subgroup(group: dict, gens: list, g) -> None:
     """Extend the subgroup ``group`` (generated by ``gens``) by g, in place.
 
@@ -319,9 +339,7 @@ def _twisted_weyl_conjugators(datum: RootDatum, wx: FiniteWeylElt,
     there is none; otherwise they are c_y u c_x^{-1} for u in Z(r).  No
     query enumerates W, except through a centraliser that is all of W.
     """
-    cmap = delta.class_map
-    if cmap is None:
-        cmap = delta.class_map = _TwistedClassMap(delta)
+    cmap = _class_map(delta)
     if wx not in cmap.root:
         cmap.fill(wx)
     r = cmap.root[wx]
@@ -333,20 +351,16 @@ def _twisted_weyl_conjugators(datum: RootDatum, wx: FiniteWeylElt,
         yield cy * u * cx_inv
 
 
-_CONJ_LATTICE_CACHE: dict[tuple, LatticeQuotient] = {}
-
-
-def _translation_defect_lattice(datum, wy: FiniteWeylElt, delta: DiagramAut):
+@functools.cache
+def _translation_defect_lattice(wy: FiniteWeylElt, delta: DiagramAut):
     """The sublattice (1 - Ad(wy) o delta) P."""
-    key = (datum.label, wy, delta.perm)
-    if key not in _CONJ_LATTICE_CACHE:
-        gens = []
-        for i in range(datum.rank):
-            e = tuple(1 if j == i else 0 for j in range(datum.rank))
-            img = wy.coweight_action(delta.on_coweight(e))
-            gens.append(tuple(a - b for a, b in zip(e, img)))
-        _CONJ_LATTICE_CACHE[key] = LatticeQuotient(datum.rank, gens)
-    return _CONJ_LATTICE_CACHE[key]
+    rank = wy.datum.rank
+    gens = []
+    for i in range(rank):
+        e = tuple(1 if j == i else 0 for j in range(rank))
+        img = wy.coweight_action(delta.on_coweight(e))
+        gens.append(tuple(a - b for a, b in zip(e, img)))
+    return LatticeQuotient(rank, gens)
 
 
 def same_conjugacy_class(x: ExtAffElt, y: ExtAffElt,
@@ -369,17 +383,13 @@ def same_conjugacy_class(x: ExtAffElt, y: ExtAffElt,
         diff = tuple(
             a - b for a, b in zip(y.mu, u.coweight_action(x.mu))
         )
-        if _translation_defect_lattice(x.datum, y.w, delta).contains(diff):
+        if _translation_defect_lattice(y.w, delta).contains(diff):
             return True
     return False
 
 
 # ---------------------------------------------------------------------------
 # Canonical class keys
-
-
-_CLASS_KEY_CACHE: dict[tuple, str] = {}
-_CLASS_INFO: dict[tuple, dict] = {}
 
 
 class _LevelIndex:
@@ -393,33 +403,29 @@ class _LevelIndex:
 
     __slots__ = ("invariant", "buckets", "members")
 
-    def __init__(self, datum: RootDatum, delta: DiagramAut, n: int):
+    def __init__(self, delta: DiagramAut, n: int):
         self.invariant: dict[ExtAffElt, SigmaClassDescriptor] = {}
         self.buckets: dict[SigmaClassDescriptor, list[ExtAffElt]] = {}
         self.members: dict[ExtAffElt, tuple[ExtAffElt, ...]] = {}
         # one descriptor object per bucket, so a level's Fractions are not
         # held once per element
         canonical: dict[SigmaClassDescriptor, SigmaClassDescriptor] = {}
-        for z in elements_of_length(datum, n):
+        for z in elements_of_length(delta.datum, n):
             desc = invariant_f(z, delta)
             desc = canonical.setdefault(desc, desc)
             self.invariant[z] = desc
             self.buckets.setdefault(desc, []).append(z)
 
 
-# (datum.label, delta.perm, length) -> the index of that level
-_LEVEL_INDEX: dict[tuple, _LevelIndex] = {}
-
-
-def _level_index(datum: RootDatum, delta: DiagramAut, n: int) -> _LevelIndex:
-    key = (datum.label, delta.perm, n)
-    if key not in _LEVEL_INDEX:
-        _LEVEL_INDEX[key] = _LevelIndex(datum, delta, n)
-    return _LEVEL_INDEX[key]
+def _level_index(delta: DiagramAut, n: int) -> _LevelIndex:
+    levels = _class_map(delta).levels
+    if n not in levels:
+        levels[n] = _LevelIndex(delta, n)
+    return levels[n]
 
 
 def _stored_invariant(x: ExtAffElt, delta: DiagramAut) -> SigmaClassDescriptor | None:
-    level = _LEVEL_INDEX.get((x.datum.label, delta.perm, x.length))
+    level = _class_map(delta).levels.get(x.length)
     return None if level is None else level.invariant.get(x)
 
 
@@ -432,7 +438,7 @@ def minimal_class_elements(x_min: ExtAffElt, delta: DiagramAut | None = None):
     every member, so a later call on any member returns it directly.
     """
     delta = coerce_delta(x_min.datum, delta)
-    level = _level_index(x_min.datum, delta, x_min.length)
+    level = _level_index(delta, x_min.length)
     out = level.members.get(x_min)
     if out is None:
         bucket = level.buckets.get(invariant_f(x_min, delta), ())
@@ -448,46 +454,41 @@ def class_key(x: ExtAffElt, delta: DiagramAut | None = None,
 
     The key is the lexicographically least literal over all minimal-length
     members, a pure function of the class, so tables computed from different
-    elements or different runs agree.
+    elements or different runs agree.  The first call on a class also
+    records its ``class_info`` entry and the key of every minimal member;
+    both live on delta's class map, so each twist has its own.
     """
     delta = coerce_delta(x.datum, delta)
-    probe = (x.datum.label, delta.perm, x)
-    if probe in _CLASS_KEY_CACHE:
-        return _CLASS_KEY_CACHE[probe]
-    x_min, _ = reduce_to_minimal(x, delta, budget=budget)
-    probe_min = (x.datum.label, delta.perm, x_min)
-    if probe_min in _CLASS_KEY_CACHE:
-        key = _CLASS_KEY_CACHE[probe_min]
-        _CLASS_KEY_CACHE[probe] = key
-        return key
-    members = minimal_class_elements(x_min, delta)
-    key = min(element_literal(m) for m in members)
-    info_key = (x.datum.label, delta.perm, key)
-    if info_key not in _CLASS_INFO:
-        rep = min(members, key=element_literal)
-        _CLASS_INFO[info_key] = {
-            "rep": rep,
-            "descriptor": invariant_f(rep, delta),
-            "length": rep.length,
-        }
-    for m in members:
-        _CLASS_KEY_CACHE[(x.datum.label, delta.perm, m)] = key
-    _CLASS_KEY_CACHE[probe] = key
+    cmap = _class_map(delta)
+    key = cmap.keys.get(x)
+    if key is None:
+        x_min, _ = reduce_to_minimal(x, delta, budget=budget)
+        key = cmap.keys.get(x_min)
+        if key is None:
+            members = minimal_class_elements(x_min, delta)
+            rep = min(members, key=element_literal)
+            key = element_literal(rep)
+            cmap.info[key] = {
+                "rep": rep,
+                "descriptor": invariant_f(rep, delta),
+                "length": rep.length,
+            }
+            cmap.keys.update(dict.fromkeys(members, key))
+        cmap.keys[x] = key
     return key
 
 
 def class_info(datum: RootDatum, delta: DiagramAut | None, key: str) -> dict:
-    """Registry entry (rep, descriptor, length) for a class key."""
-    delta = coerce_delta(datum, delta)
-    info_key = (datum.label, delta.perm, key)
-    if info_key not in _CLASS_INFO:
-        from .elements import parse_element
+    """The entry (rep, descriptor, length) of a class key under delta.
 
-        rep = parse_element(datum, key)
-        computed = class_key(rep, delta)
-        if computed != key:
-            raise ValueError(f"{key!r} is not a canonical class key")
-    return _CLASS_INFO[info_key]
+    Read from delta's class map; a key not seen yet is parsed, and it must
+    be the ``class_key`` of the element it names, else ``ValueError``.
+    """
+    delta = coerce_delta(datum, delta)
+    info = _class_map(delta).info
+    if key not in info and class_key(parse_element(datum, key), delta) != key:
+        raise ValueError(f"{key!r} is not a canonical class key")
+    return info[key]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +509,7 @@ def enumerate_straight_classes(
     delta = coerce_delta(datum, delta)
     by_key: dict[str, ExtAffElt] = {}
     for n in range(max_length + 1):
-        _level_index(datum, delta, n)  # is_straight reads its invariants
+        _level_index(delta, n)  # is_straight reads its invariants
         for x in elements_of_length(datum, n):
             if not is_straight(x, delta):
                 continue
@@ -563,19 +564,10 @@ def _left_parabolic_split(x: ExtAffElt, J):
 def _subset_conjugation_map(x: ExtAffElt, source, target) -> dict[int, int] | None:
     """The map j -> j' with x s_j x^{-1} = s_{j'}, landing onto target, else None."""
     refl = simple_reflections(x.datum)
-    xinv = x.inverse()
-    out = {}
-    for j in source:
-        img = x * refl[j] * xinv
-        for lab in target:
-            if img == refl[lab]:
-                out[j] = lab
-                break
-        else:
-            return None
-    if set(out.values()) != set(target):
-        return None
-    return out
+    out = _conjugate_labels(
+        x, {j: refl[j] for j in source}, {lab: refl[lab] for lab in target}
+    )
+    return out if set(out.values()) == set(target) else None
 
 
 @dataclass(frozen=True)
@@ -694,16 +686,13 @@ def _is_superbasic_in_levi(x: ExtAffElt, J, delta: DiagramAut) -> bool:
     nodes = _levi_affine_diagram(x.datum, J)
     if not nodes:
         return True
-    xinv = x.inverse()
-    perm = {}
-    for idx, (_, _, s) in enumerate(nodes):
-        img = x * delta(s) * xinv
-        for idx2, (_, _, s2) in enumerate(nodes):
-            if img == s2:
-                perm[idx] = idx2
-                break
-        else:
-            return False
+    perm = _conjugate_labels(
+        x,
+        {idx: delta(s) for idx, (_, _, s) in enumerate(nodes)},
+        {idx: s for idx, (_, _, s) in enumerate(nodes)},
+    )
+    if None in perm.values():
+        return False
     seen = set()
     for start in perm:
         if start in seen:
@@ -810,17 +799,12 @@ class PartialReduction:
 
 def _max_stable_subset(x: ExtAffElt, delta: DiagramAut) -> tuple[int, ...]:
     """Largest J with Ad(x) delta(J) = J among the finite simple labels."""
-    datum = x.datum
-    refl = simple_reflections(datum)
-    xinv = x.inverse()
-    phi = {}
-    for j in range(1, datum.rank + 1):
-        img = x * refl[delta.on_label(j)] * xinv
-        for lab in range(1, datum.rank + 1):
-            if img == refl[lab]:
-                phi[j] = lab
-                break
-    J = set(phi)
+    refl = simple_reflections(x.datum)
+    finite = range(1, x.datum.rank + 1)
+    phi = _conjugate_labels(
+        x, {j: refl[delta.on_label(j)] for j in finite}, {j: refl[j] for j in finite}
+    )
+    J = {j for j, img in phi.items() if img is not None}
     changed = True
     while changed:
         changed = False

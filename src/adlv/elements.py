@@ -21,6 +21,7 @@ Element literal grammar (whitespace-insensitive):
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -148,24 +149,20 @@ def identity(datum: RootDatum) -> ExtAffElt:
     return from_weyl(datum.identity_weyl)
 
 
-_REFL_CACHE: dict[str, dict[int, ExtAffElt]] = {}
-
-
+@functools.cache
 def simple_reflections(datum: RootDatum) -> dict[int, ExtAffElt]:
     """All simple reflections of S~, keyed by label, in ascending label order."""
-    if datum.label not in _REFL_CACHE:
-        table: dict[int, ExtAffElt] = {}
-        for c, (theta, theta_vee) in enumerate(datum.highest_roots):
-            s_theta = datum.reflection_in_root(theta, theta_vee)
-            table[-c] = ExtAffElt(datum, theta_vee, s_theta)
-        for i in range(1, datum.rank + 1):
-            table[i] = from_weyl(datum.simple_weyl(i))
-        ordered = {lab: table[lab] for lab in sorted(table)}
-        for lab, s in ordered.items():
-            if s.length != 1:
-                raise IntegrityError(f"simple reflection s{lab} has length != 1")
-        _REFL_CACHE[datum.label] = ordered
-    return _REFL_CACHE[datum.label]
+    table: dict[int, ExtAffElt] = {}
+    for c, (theta, theta_vee) in enumerate(datum.highest_roots):
+        s_theta = datum.reflection_in_root(theta, theta_vee)
+        table[-c] = ExtAffElt(datum, theta_vee, s_theta)
+    for i in range(1, datum.rank + 1):
+        table[i] = from_weyl(datum.simple_weyl(i))
+    ordered = {lab: table[lab] for lab in sorted(table)}
+    for lab, s in ordered.items():
+        if s.length != 1:
+            raise IntegrityError(f"simple reflection s{lab} has length != 1")
+    return ordered
 
 
 def reduced_word(x: ExtAffElt):
@@ -196,60 +193,57 @@ def reduced_word(x: ExtAffElt):
 # Omega, the stabilizer of the base alcove
 
 
-_OMEGA_CACHE: dict[str, tuple[ExtAffElt, ...]] = {}
-_OMEGA_PERM_CACHE: dict[tuple[str, ExtAffElt], dict[int, int]] = {}
-_OMEGA_GEN_CACHE: dict[str, ExtAffElt | None] = {}
-
-
+@functools.cache
 def omega_group(datum: RootDatum) -> tuple[ExtAffElt, ...]:
     """All length-0 elements, sorted by literal; a group isomorphic to P/Q."""
-    if datum.label not in _OMEGA_CACHE:
-        per_component = []
-        for c, (letter, rank, start) in enumerate(datum.components):
-            elems = [identity(datum)]
-            theta, _ = datum.highest_roots[c]
-            comp_nodes = list(range(start + 1, start + rank + 1))
-            for i in comp_nodes:
-                if theta[i - 1] != 1:
-                    continue
-                omega_vee = tuple(
-                    1 if j == i - 1 else 0 for j in range(datum.rank)
-                )
-                w0_comp = datum.longest_in(comp_nodes)
-                w0_sub = datum.longest_in([j for j in comp_nodes if j != i])
-                tau = ExtAffElt(datum, omega_vee, w0_sub * w0_comp)
-                if tau.length != 0:
-                    raise IntegrityError("length-0 candidate has positive length")
-                elems.append(tau)
-            per_component.append(elems)
-        full = [identity(datum)]
-        for elems in per_component:
-            full = [a * b for a in full for b in elems]
-        full = sorted(set(full), key=element_literal)
-        expected = datum.fundamental_group.group_order()
-        if len(full) != expected:
-            raise IntegrityError("Omega has unexpected size")
-        _OMEGA_CACHE[datum.label] = tuple(full)
-    return _OMEGA_CACHE[datum.label]
+    per_component = []
+    for c, (letter, rank, start) in enumerate(datum.components):
+        elems = [identity(datum)]
+        theta, _ = datum.highest_roots[c]
+        comp_nodes = list(range(start + 1, start + rank + 1))
+        for i in comp_nodes:
+            if theta[i - 1] != 1:
+                continue
+            omega_vee = tuple(
+                1 if j == i - 1 else 0 for j in range(datum.rank)
+            )
+            w0_comp = datum.longest_in(comp_nodes)
+            w0_sub = datum.longest_in([j for j in comp_nodes if j != i])
+            tau = ExtAffElt(datum, omega_vee, w0_sub * w0_comp)
+            if tau.length != 0:
+                raise IntegrityError("length-0 candidate has positive length")
+            elems.append(tau)
+        per_component.append(elems)
+    full = [identity(datum)]
+    for elems in per_component:
+        full = [a * b for a in full for b in elems]
+    full = sorted(set(full), key=element_literal)
+    expected = datum.fundamental_group.group_order()
+    if len(full) != expected:
+        raise IntegrityError("Omega has unexpected size")
+    return tuple(full)
 
 
+def _conjugate_labels(x: ExtAffElt, source: dict, target: dict) -> dict:
+    """The map j -> j' with x source[j] x^{-1} = target[j'].
+
+    Both dicts map labels to elements.  Each image is looked up by element,
+    and one that is no value of ``target`` maps to None; each caller decides
+    what that means.
+    """
+    label_of = {t: lab for lab, t in target.items()}
+    xinv = x.inverse()
+    return {j: label_of.get(x * s * xinv) for j, s in source.items()}
+
+
+@functools.cache
 def omega_conjugation_perm(tau: ExtAffElt) -> dict[int, int]:
     """The permutation of S~ labels induced by s -> tau s tau^{-1}."""
-    key = (tau.datum.label, tau)
-    if key not in _OMEGA_PERM_CACHE:
-        refl = simple_reflections(tau.datum)
-        inv = tau.inverse()
-        perm = {}
-        for lab, s in refl.items():
-            img = tau * s * inv
-            for lab2, s2 in refl.items():
-                if img == s2:
-                    perm[lab] = lab2
-                    break
-            else:
-                raise ValueError("element does not normalize the alcove walls")
-        _OMEGA_PERM_CACHE[key] = perm
-    return _OMEGA_PERM_CACHE[key]
+    refl = simple_reflections(tau.datum)
+    perm = _conjugate_labels(tau, refl, refl)
+    if None in perm.values():
+        raise ValueError("element does not normalize the alcove walls")
+    return perm
 
 
 def _element_order(x: ExtAffElt, bound: int) -> int:
@@ -261,15 +255,14 @@ def _element_order(x: ExtAffElt, bound: int) -> int:
     return 0
 
 
+@functools.cache
 def omega_generator(datum: RootDatum) -> ExtAffElt | None:
     """A canonical generator when Omega is cyclic, else None."""
-    if datum.label not in _OMEGA_GEN_CACHE:
-        omega = omega_group(datum)
-        n = len(omega)
-        gens = [t for t in omega if _element_order(t, n) == n]
-        gens.sort(key=element_literal)
-        _OMEGA_GEN_CACHE[datum.label] = gens[0] if gens else None
-    return _OMEGA_GEN_CACHE[datum.label]
+    omega = omega_group(datum)
+    n = len(omega)
+    gens = [t for t in omega if _element_order(t, n) == n]
+    gens.sort(key=element_literal)
+    return gens[0] if gens else None
 
 
 def tau_power(datum: RootDatum, m: int) -> ExtAffElt:
@@ -316,8 +309,9 @@ class DiagramAut:
     There is one instance per (datum, perm): constructing it again, by any
     of ``DiagramAut(...)``, ``identity``, ``from_one_based``, ``inverse``,
     ``**`` or ``coerce_delta``, returns the shared object, so its caches
-    (the ``on_weyl`` images and the twisted class map of W kept by
-    :mod:`adlv.conjugacy`) live as long as the datum.
+    live as long as the datum: the ``on_weyl`` images, and ``class_map``,
+    the class state of this (datum, delta) that :mod:`adlv.conjugacy` keeps
+    (twisted classes of W, level indexes, class keys and class entries).
     """
 
     __slots__ = ("datum", "perm", "_label_map", "_root_perm", "_weyl_cache",
@@ -529,9 +523,6 @@ def demazure_product(x: ExtAffElt, y: ExtAffElt) -> ExtAffElt:
     return z * tau
 
 
-_BRUHAT_CACHE: dict[tuple, bool] = {}
-
-
 def bruhat_leq(x: ExtAffElt, y: ExtAffElt) -> bool:
     """Bruhat order; elements in different Omega-cosets are incomparable."""
     if x.datum is not y.datum:
@@ -545,6 +536,7 @@ def bruhat_leq(x: ExtAffElt, y: ExtAffElt) -> bool:
     return _bruhat_wa(a, b)
 
 
+@functools.cache
 def _bruhat_wa(a: ExtAffElt, b: ExtAffElt) -> bool:
     if a.length > b.length:
         return False
@@ -552,19 +544,9 @@ def _bruhat_wa(a: ExtAffElt, b: ExtAffElt) -> bool:
         return True
     if b.length == 0:
         return a == b
-    key = (a.datum.label, a, b)
-    if key not in _BRUHAT_CACHE:
-        refl = simple_reflections(a.datum)
-        lab = reduced_word(b)[0][0]
-        s = refl[lab]
-        sb = s * b
-        sa = s * a
-        if sa.length < a.length:
-            out = _bruhat_wa(sa, sb)
-        else:
-            out = _bruhat_wa(a, sb)
-        _BRUHAT_CACHE[key] = out
-    return _BRUHAT_CACHE[key]
+    s = simple_reflections(a.datum)[reduced_word(b)[0][0]]
+    sa = s * a
+    return _bruhat_wa(sa if sa.length < a.length else a, s * b)
 
 
 def supp_delta(x: ExtAffElt, delta: DiagramAut | None = None) -> frozenset[int]:
@@ -735,9 +717,7 @@ class OrbitWalk:
         return ReductionTrace(steps=tuple(reversed(steps)), terminal=elt)
 
 
-_LOWEST_CELL_CACHE: dict[ExtAffElt, bool] = {}
-
-
+@functools.cache
 def is_lowest_cell(x: ExtAffElt) -> bool:
     """Membership in the lowest two-sided cell.
 
@@ -747,52 +727,47 @@ def is_lowest_cell(x: ExtAffElt) -> bool:
     letters and length-0 factors off the right, down to the length of w0)
     and stops at one whose right descents cover every finite label.
     """
-    if x in _LOWEST_CELL_CACHE:
-        return _LOWEST_CELL_CACHE[x]
     datum = x.datum
     w0_len = datum.w0().length
-    out = False
-    if x.length >= w0_len:
-        refl = simple_reflections(datum)
-        finite = set(range(1, datum.rank + 1))
-        omegas = [t for t in omega_group(datum) if not t.is_identity]
+    if x.length < w0_len:
+        return False
+    refl = simple_reflections(datum)
+    finite = set(range(1, datum.rank + 1))
+    omegas = [t for t in omega_group(datum) if not t.is_identity]
 
-        def quotients(z):
-            """(right descents of z, the quotients the walk follows)."""
-            images = [(lab, z * s) for lab, s in refl.items()]
-            descents = [(lab, zs) for lab, zs in images if zs.length < z.length]
-            follow = [(lab, zs) for lab, zs in descents if zs.length >= w0_len]
-            return descents, follow + [(tau, z * tau) for tau in omegas]
+    def quotients(z):
+        """(right descents of z, the quotients the walk follows)."""
+        images = [(lab, z * s) for lab, s in refl.items()]
+        descents = [(lab, zs) for lab, zs in images if zs.length < z.length]
+        follow = [(lab, zs) for lab, zs in descents if zs.length >= w0_len]
+        return descents, follow + [(tau, z * tau) for tau in omegas]
 
-        walk = OrbitWalk(quotients, sys.maxsize, "lowest-cell search")
-        out = any(finite <= {lab for lab, _ in descents}
-                  for _, descents in walk.walk([x]))
-    _LOWEST_CELL_CACHE[x] = out
-    return out
+    walk = OrbitWalk(quotients, sys.maxsize, "lowest-cell search")
+    return any(finite <= {lab for lab, _ in descents}
+               for _, descents in walk.walk([x]))
 
 
 # ---------------------------------------------------------------------------
 # Level enumeration
 
 
-_LEVEL_CACHE: dict[str, list] = {}
-
-
+@functools.cache
 def elements_of_length(datum: RootDatum, n: int) -> tuple[ExtAffElt, ...]:
-    """All elements of the given length, deterministic order; cached."""
-    if n < 0:
-        return ()
-    levels = _LEVEL_CACHE.setdefault(datum.label, [])
-    if not levels:
-        levels.append(list(omega_group(datum)))
-    refl = simple_reflections(datum)
-    while len(levels) <= n:
-        k = len(levels)
-        nxt = {}
-        for y in levels[-1]:
-            for s in refl.values():
-                z = s * y
-                if z.length == k and z not in nxt:
-                    nxt[z] = None
-        levels.append(sorted(nxt, key=element_literal))
-    return tuple(levels[n])
+    """All elements of length n, sorted by literal.
+
+    Length 0 is Omega, and length n is the set of s * y of length n for s in
+    S~ and y of length n - 1.  The result is cached per (datum, n), and
+    every call returns the same tuple.
+    """
+    if n <= 0:
+        return omega_group(datum) if n == 0 else ()
+    for k in range(1, n):  # bottom up, so a cold call does not recurse deeply
+        elements_of_length(datum, k)
+    refl = simple_reflections(datum).values()
+    level = {}
+    for y in elements_of_length(datum, n - 1):
+        for s in refl:
+            z = s * y
+            if z.length == n:
+                level[z] = None
+    return tuple(sorted(level, key=element_literal))

@@ -260,8 +260,6 @@ class RootDatum:
             sum(a[i] for a in self.positive_roots) for i in range(r)
         )
         self.fundamental_group = LatticeQuotient(r, self.simple_coroots)
-        orders = [d for d in self.fundamental_group.orders if d != 1]
-        self.fundamental_group_orders = tuple(sorted(orders))
         order = self.fundamental_group.group_order()
         if order != abs(int(mat_det(self.cartan))):
             raise AssertionError("fundamental group order mismatch")

@@ -291,3 +291,41 @@ def test_closed_stdout_ends_quietly_with_exit_0():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0, err
     assert "Traceback" not in err and "BrokenPipe" not in err, err
+
+
+def test_closed_stdout_keeps_the_finished_tables(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+
+    from adlv.cli import TableCache
+    from adlv.elements import DiagramAut
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    cache = tmp_path / "tables.jsonl"
+    # about 220 kB of rows, so the reader is gone before the run has written
+    # them all; the first row follows the first finished table
+    args = ["sweep", "--type", "A2", "--max-length", "6", "--check", "ghkr",
+            "--b", ";".join(["unit"] * 40)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adlv.cli", *args, "--cache", str(cache)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"element\tb\tdim\tvirtual\tstatus\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert cache.exists(), "the finished tables were not saved"
+    lines = cache.read_text().splitlines()
+    a2 = build_root_datum("A2")
+    assert json.loads(lines[0]) == TableCache(None, a2, DiagramAut.identity(a2)).header
+    assert len(lines) > 1
+    code, cached, _ = run(capsys, *args, "--cache", str(cache))
+    assert code == 0
+    _, uncached, _ = run(capsys, *args)
+    assert cached == uncached
