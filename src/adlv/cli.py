@@ -3,12 +3,16 @@
 Exit codes: 0 ok, 2 usage or configuration problem, 3 integrity failure,
 4 property violation in a sweep, 5 search budget exhausted.  A reader that
 closes stdout early (``adlv sweep ... | head``) ends the run quietly with
-exit code 0: the rest of the output goes to ``os.devnull``.  The class
-polynomial disk cache is a one-line JSON header followed by one JSON record
-per element; a file whose header does not match the run is neither read
-nor written, and a record that does not parse as an object with a string
-``element`` and an object ``table`` is skipped.  The tables finished before
-a run exhausts its budget or its reader closes stdout are saved too.  The
+exit code 0: the rest of the output goes to ``os.devnull``.  Text output
+prints exact values with ``str``: an integral ``Fraction`` as an integer and
+an empty variety as ``EMPTY``.
+
+The class polynomial disk cache is a one-line JSON header followed by one
+record per element, ``ClassPolyTable.jsonable()`` as JSON.  A file whose
+header does not match the run is neither read nor written.  A record that
+is not JSON, that ``ClassPolyTable.from_jsonable`` rejects, or whose element
+literal does not parse is skipped.  The tables finished before a run
+exhausts its budget or its reader closes stdout are saved too.  The
 environment variable ``ADLV_CACHE`` names the cache when ``--cache`` is not
 given; ``--cache`` wins when both are set.
 """
@@ -40,7 +44,7 @@ from .conjugacy import (
     kottwitz_class,
     reduce_to_minimal,
 )
-from .hecke import ClassPolyEngine, XiPoly, verify_path_independence
+from .hecke import ClassPolyEngine, ClassPolyTable, verify_path_independence
 from .dimension import (
     EMPTY,
     BElement,
@@ -125,7 +129,7 @@ class TableCache:
             "library_version": __version__,
         }
         self.datum = datum
-        self.loaded: dict[str, dict] = {}
+        self.loaded = {}  # element -> table, from the records that parse
         self._preexisting: set[str] = set()
         self._foreign = False  # the file belongs to another run: leave it be
         if path and os.path.exists(path):
@@ -148,25 +152,16 @@ class TableCache:
             self._foreign = True
             return
         for line in lines[1:]:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+            try:  # JSON, record and literal errors are all ValueErrors
+                record = ClassPolyTable.from_jsonable(json.loads(line))
+                elt = parse_element(self.datum, record.element)
+            except (ValueError, RecursionError):  # and JSON nested too deep
                 continue
-            if not (
-                isinstance(record, dict)
-                and isinstance(record.get("element"), str)
-                and isinstance(record.get("table"), dict)
-            ):
-                continue
-            self.loaded[record["element"]] = record["table"]
-            self._preexisting.add(record["element"])
+            self.loaded[elt] = record.entries
+            self._preexisting.add(record.element)
 
     def preload(self, engine: ClassPolyEngine):
-        for literal, table in self.loaded.items():
-            elt = parse_element(self.datum, literal)
-            engine.memo[elt] = {
-                key: XiPoly.from_jsonable(val) for key, val in table.items()
-            }
+        engine.memo.update(self.loaded)
 
     @contextmanager
     def saving(self, engine: ClassPolyEngine):
@@ -189,16 +184,11 @@ class TableCache:
             return
         new_records = []
         for elt, table in engine.memo.items():
-            literal = element_literal(elt)
-            if literal in self._preexisting:
+            record = ClassPolyTable(element_literal(elt), table)
+            if record.element in self._preexisting:
                 continue
-            self._preexisting.add(literal)
-            new_records.append(
-                {
-                    "element": literal,
-                    "table": {k: table[k].jsonable() for k in sorted(table)},
-                }
-            )
+            self._preexisting.add(record.element)
+            new_records.append(record.jsonable())
         fresh = not os.path.exists(self.path) or not self.loaded
         mode = "a"
         if fresh:
@@ -214,12 +204,6 @@ class TableCache:
 # Subcommands
 
 
-def _fraction_str(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return str(x.numerator)
-    return str(x)
-
-
 def cmd_classify(args) -> int:
     config = _config_from_args(args)
     datum = config.datum()
@@ -229,7 +213,7 @@ def cmd_classify(args) -> int:
         rows.append(
             {
                 "rep": element_literal(rep),
-                "newton": [_fraction_str(c) for c in desc.newton],
+                "newton": [str(c) for c in desc.newton],
                 "kappa": list(desc.kappa),
                 "length": rep.length,
                 "straight": True,
@@ -287,11 +271,11 @@ def cmd_dim(args) -> int:
         for c in report.contributions:
             sys.stdout.write(
                 f"class {c.rep} len={c.length} deg={c.degree} "
-                f"candidate={_fraction_str(c.candidate)}\n"
+                f"candidate={c.candidate}\n"
             )
-        sys.stdout.write(f"dim: {report.dim_display()}\n")
+        sys.stdout.write(f"dim: {report.dim}\n")
         if report.virtual_dim is not None:
-            sys.stdout.write(f"virtual_dim: {_fraction_str(report.virtual_dim)}\n")
+            sys.stdout.write(f"virtual_dim: {report.virtual_dim}\n")
     return EXIT_OK
 
 
@@ -354,12 +338,9 @@ def cmd_sweep(args) -> int:
                         violations += 1
                     if status == "skip":
                         skipped += 1
-                    dim = "EMPTY" if report.dim == EMPTY else _fraction_str(report.dim)
-                    virt = (
-                        "-" if report.virtual is None else _fraction_str(report.virtual)
-                    )
+                    virt = "-" if report.virtual is None else report.virtual
                     out.write(
-                        f"{report.element}\t{b.label}\t{dim}\t{virt}\t{status}\n"
+                        f"{report.element}\t{b.label}\t{report.dim}\t{virt}\t{status}\n"
                     )
         elif check == "mazur":
             out.write("mu\tb\tmazur\tnonempty\tstatus\n")
@@ -391,10 +372,9 @@ def cmd_sweep(args) -> int:
                     )
                     if not ok:
                         violations += 1
-                    dim = "EMPTY" if report.dim == EMPTY else _fraction_str(report.dim)
                     out.write(
-                        f"{list(mu)}\t{b.label}\t{dim}\t"
-                        f"{'-' if closed is None else _fraction_str(closed)}\t"
+                        f"{list(mu)}\t{b.label}\t{report.dim}\t"
+                        f"{'-' if closed is None else closed}\t"
                         f"{'ok' if ok else 'VIOLATION'}\n"
                     )
         else:  # pragma: no cover - argparse restricts choices

@@ -15,7 +15,7 @@ from operator import itemgetter
 from fractions import Fraction
 
 from .errors import IntegrityError
-from .lattices import LatticeQuotient, dot
+from .lattices import LatticeQuotient, dot, identity_matrix
 from .roots import (
     FiniteWeylElt,
     RootDatum,
@@ -123,16 +123,19 @@ def kottwitz_quotient(datum: RootDatum, delta: DiagramAut | None = None,
     return _kottwitz_quotient(coerce_delta(datum, delta), J)
 
 
+def _one_minus(action, rank: int) -> list:
+    """The generators e_i - A(e_i) of the lattice (1 - A) P, for A = ``action``."""
+    return [
+        tuple(a - b for a, b in zip(e, action(e))) for e in identity_matrix(rank)
+    ]
+
+
 @functools.cache
 def _kottwitz_quotient(delta: DiagramAut, J) -> LatticeQuotient:
     datum = delta.datum
     labels = range(1, datum.rank + 1) if J is None else J
     gens = [datum.simple_coroots[j - 1] for j in labels]
-    for i in range(datum.rank):
-        e = tuple(1 if j == i else 0 for j in range(datum.rank))
-        de = delta.on_coweight(e)
-        gens.append(tuple(a - b for a, b in zip(e, de)))
-    return LatticeQuotient(datum.rank, gens)
+    return LatticeQuotient(datum.rank, gens + _one_minus(delta.on_coweight, datum.rank))
 
 
 def kottwitz_class(x: ExtAffElt, delta: DiagramAut | None = None) -> tuple[int, ...]:
@@ -355,12 +358,9 @@ def _twisted_weyl_conjugators(datum: RootDatum, wx: FiniteWeylElt,
 def _translation_defect_lattice(wy: FiniteWeylElt, delta: DiagramAut):
     """The sublattice (1 - Ad(wy) o delta) P."""
     rank = wy.datum.rank
-    gens = []
-    for i in range(rank):
-        e = tuple(1 if j == i else 0 for j in range(rank))
-        img = wy.coweight_action(delta.on_coweight(e))
-        gens.append(tuple(a - b for a, b in zip(e, img)))
-    return LatticeQuotient(rank, gens)
+    return LatticeQuotient(
+        rank, _one_minus(lambda e: wy.coweight_action(delta.on_coweight(e)), rank)
+    )
 
 
 def same_conjugacy_class(x: ExtAffElt, y: ExtAffElt,
@@ -681,11 +681,25 @@ def _levi_affine_diagram(datum: RootDatum, J):
     return nodes
 
 
+def _perm_orbits(perm: dict[int, int]):
+    """Orbits of a permutation given as a dict, each sorted, by least member."""
+    labels = set(perm)
+    out = []
+    while labels:
+        seed = min(labels)
+        orbit = {seed}
+        j = perm[seed]
+        while j != seed:
+            orbit.add(j)
+            j = perm[j]
+        out.append(tuple(sorted(orbit)))
+        labels -= orbit
+    return out
+
+
 def _is_superbasic_in_levi(x: ExtAffElt, J, delta: DiagramAut) -> bool:
     """Orbits of Ad(x) o delta on the Levi affine diagram are unions of components."""
     nodes = _levi_affine_diagram(x.datum, J)
-    if not nodes:
-        return True
     perm = _conjugate_labels(
         x,
         {idx: delta(s) for idx, (_, _, s) in enumerate(nodes)},
@@ -693,19 +707,9 @@ def _is_superbasic_in_levi(x: ExtAffElt, J, delta: DiagramAut) -> bool:
     )
     if None in perm.values():
         return False
-    seen = set()
-    for start in perm:
-        if start in seen:
-            continue
-        orbit = {start}
-        j = perm[start]
-        while j != start:
-            orbit.add(j)
-            j = perm[j]
-        seen |= orbit
-        comps_touched = {nodes[i][0] for i in orbit}
-        full = {i for i in range(len(nodes)) if nodes[i][0] in comps_touched}
-        if orbit != full:
+    for orbit in _perm_orbits(perm):
+        touched = {nodes[i][0] for i in orbit}
+        if len(orbit) != sum(1 for cid, _, _ in nodes if cid in touched):
             return False
     return True
 
@@ -747,6 +751,16 @@ def is_superstraight_class(
 # Alcove criterion
 
 
+def _delta_stable_labels(delta: DiagramAut, J) -> tuple[int, ...]:
+    """J as a sorted tuple, checked to be a delta-stable set of finite labels."""
+    J = tuple(sorted(set(J)))
+    if any(not 1 <= j <= delta.datum.rank for j in J):
+        raise ValueError("J must consist of finite simple labels")
+    if tuple(sorted(delta.on_label(j) for j in J)) != J:
+        raise ValueError("J must be delta-stable")
+    return J
+
+
 def is_jw_alcove(
     x: ExtAffElt, J, w: FiniteWeylElt, delta: DiagramAut | None = None
 ) -> bool:
@@ -759,11 +773,7 @@ def is_jw_alcove(
     """
     delta = coerce_delta(x.datum, delta)
     datum = x.datum
-    J = tuple(sorted(set(J)))
-    if any(not 1 <= j <= datum.rank for j in J):
-        raise ValueError("J must consist of finite simple labels")
-    if tuple(sorted(delta.on_label(j) for j in J)) != J:
-        raise ValueError("J must be delta-stable")
+    J = _delta_stable_labels(delta, J)
     dw = delta.on_weyl(w)
     y = ExtAffElt(datum, (0,) * datum.rank, w.inverse()) * x
     y = y * ExtAffElt(datum, (0,) * datum.rank, dw)

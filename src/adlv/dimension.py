@@ -3,8 +3,9 @@
 The dimension of X_w(b) is the maximum of (len(w) + len(O) + deg f_{w,O})/2
 over the twisted classes O whose invariant matches b, minus <nu_b, 2 rho>;
 the variety is empty exactly when every matching class polynomial vanishes.
-Emptiness is encoded by the exact sentinel ``EMPTY``, which equals only
-itself, orders below every int and ``Fraction``, and prints as ``EMPTY``.
+Emptiness is encoded by the exact sentinel ``EMPTY`` of :mod:`adlv.hecke`,
+the degree of the zero class polynomial, which equals only itself, orders
+below every int and ``Fraction``, and prints as ``EMPTY``.
 
 ``DimProfile`` holds what these formulas need from one element w: its class
 polynomials grouped by class invariant, read once, and its Kottwitz class,
@@ -19,10 +20,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import IntegrityError
-from .lattices import dot
+from .lattices import dot, mat_vec, smith_normal_form
 from .roots import RootDatum, is_dominant, min_coset_reps, weyl_group, in_parabolic
 from .elements import (
     DiagramAut,
@@ -41,6 +41,8 @@ from .elements import (
 )
 from .conjugacy import (
     SigmaClassDescriptor,
+    _delta_stable_labels,
+    _perm_orbits,
     class_info,
     invariant_f,
     is_minimal_in_class,
@@ -49,7 +51,7 @@ from .conjugacy import (
     newton_point,
     raw_newton_point,
 )
-from .hecke import ClassPolyEngine, class_polynomials
+from .hecke import EMPTY, ClassPolyEngine, _format_terms, class_polynomials
 
 __all__ = [
     "EMPTY",
@@ -69,49 +71,12 @@ __all__ = [
 ]
 
 
-class _Empty:
-    """The dimension of an empty variety.
-
-    ``EMPTY`` is the one instance.  It equals only itself, orders below every
-    int and ``Fraction`` from either side, and prints as ``EMPTY``; copies
-    and pickles return the same instance.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "EMPTY"
-
-    def __reduce__(self):
-        return "EMPTY"
-
-    def _order(self, other, below, same):
-        if other is self:
-            return same
-        if isinstance(other, Rational):
-            return below
-        return NotImplemented
-
-    def __lt__(self, other):
-        return self._order(other, True, False)
-
-    def __le__(self, other):
-        return self._order(other, True, True)
-
-    def __gt__(self, other):
-        return self._order(other, False, False)
-
-    def __ge__(self, other):
-        return self._order(other, False, True)
-
-
-EMPTY = _Empty()
-
-
-def _as_number(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+def _json_number(x):
+    """An exact value for JSON: an integral ``Fraction`` as an int, any other
+    ``Fraction`` and ``EMPTY`` as their text, anything else as it is."""
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else str(x)
+    return str(x) if x is EMPTY else x
 
 
 @dataclass(frozen=True)
@@ -238,12 +203,11 @@ class ClassContribution:
     candidate: Fraction  # (len(w) + len(O) + deg f) / 2
 
     def jsonable(self):
-        value = _as_number(self.candidate)
         return {
             "rep": self.rep,
             "len": self.length,
             "deg": self.degree,
-            "candidate": value if isinstance(value, int) else str(value),
+            "candidate": _json_number(self.candidate),
         }
 
 
@@ -257,25 +221,14 @@ class DimReport:
     virtual_dim: object = None
     bounds: dict = field(default_factory=dict)
 
-    def dim_display(self):
-        if self.dim == EMPTY:
-            return "EMPTY"
-        return _as_number(self.dim)
-
     def jsonable(self):
-        dim = self.dim_display()
-        vd = self.virtual_dim
-        if isinstance(vd, Fraction):
-            vd = _as_number(vd)
-            if not isinstance(vd, int):
-                vd = str(vd)
         return {
             "schema_version": 1,
             "input": self.input,
             "classes": [c.jsonable() for c in self.contributions],
-            "dim": dim if isinstance(dim, (int, str)) else str(dim),
+            "dim": _json_number(self.dim),
             "nonempty": self.nonempty,
-            "virtual_dim": vd,
+            "virtual_dim": _json_number(self.virtual_dim),
             "bounds": self.bounds,
         }
 
@@ -295,19 +248,11 @@ class GhkrReport:
     equality_holds: bool | None
 
     def jsonable(self):
-        def num(x):
-            if x is None or isinstance(x, (bool, str)):
-                return x
-            if x == EMPTY:
-                return "EMPTY"
-            v = _as_number(x)
-            return v if isinstance(v, int) else str(v)
-
         return {
             "element": self.element,
             "b": self.b_label,
-            "dim": num(self.dim),
-            "virtual_dim": num(self.virtual),
+            "dim": _json_number(self.dim),
+            "virtual_dim": _json_number(self.virtual),
             "kappa_match": self.kappa_match,
             "lower": {"applicable": self.lower_applicable, "holds": self.lower_holds},
             "upper": {"applicable": self.upper_applicable, "holds": self.upper_holds},
@@ -559,11 +504,7 @@ def mazur_check(
     mu = tuple(mu)
     if not is_dominant(mu):
         raise ValueError("coweight must be dominant")
-    J = tuple(sorted(set(J)))
-    if any(not 1 <= j <= datum.rank for j in J):
-        raise ValueError("J must consist of finite simple labels")
-    if tuple(sorted(delta.on_label(j) for j in J)) != J:
-        raise ValueError("J must be delta-stable")
+    J = _delta_stable_labels(delta, J)
     if not in_parabolic(levi_rep.w, J):
         raise ValueError("representative does not lie in the Levi subgroup")
     nu = raw_newton_point(levi_rep, delta)
@@ -582,42 +523,33 @@ def mazur_check(
     orders = [quotient.order_of(datum.simple_coroots[o[0] - 1]) for o in orbits]
     free_rows = [i for i, d in enumerate(quotient.orders) if d == 0]
 
-    # coefficients of infinite-order generators are pinned by the free rows;
-    # finite-order generators only matter modulo their order
+    # coefficients of infinite-order generators are pinned by the free rows,
+    # where those generators are independent: with U M V = D the Smith normal
+    # form of that system M c = target, its one solution is integral exactly
+    # when d_i divides (U target)_i within the rank and (U target)_i = 0
+    # beyond it, and then c = V y with y_i = (U target)_i / d_i.
+    # Finite-order generators only matter modulo their order.
     infinite = [k for k, d in enumerate(orders) if d == 0]
     finite = [k for k, d in enumerate(orders) if d != 0]
+    U, D, V = smith_normal_form([[gens[k][i] for k in infinite] for i in free_rows])
+    n = len(infinite)
+    if any(i >= len(D) or D[i][i] == 0 for i in range(n)):
+        raise IntegrityError("cone generators are not independent")
+    rhs = mat_vec(U, [target[i] for i in free_rows])
+    if any(rhs[i] % D[i][i] for i in range(n)) or any(rhs[n:]):
+        return False
+    coeffs_inf = mat_vec(V, [rhs[i] // D[i][i] for i in range(n)])
+    if any(c < 0 for c in coeffs_inf):
+        return False
 
     def torsion_matches(coeffs):
-        # gens and target are already in canonical quotient coordinates
-        total = [0] * datum.rank
-        for k, c in enumerate(coeffs):
-            for i in range(datum.rank):
-                total[i] += c * gens[k][i]
-        for i, d in enumerate(quotient.orders):
-            if d == 0:
-                if total[i] != target[i]:
-                    return False
-            elif total[i] % d != target[i] % d:
-                return False
-        return True
-
-    if infinite:
-        # solve the free-row system exactly; generators with a free image are
-        # linearly independent there modulo torsion, so solutions are unique
-        rows = [[Fraction(gens[k][i]) for k in infinite] for i in free_rows]
-        rhs = [Fraction(target[i]) for i in free_rows]
-        sol, consistent = _solve_exact(rows, rhs)
-        if not consistent:
-            return False
-        coeffs_inf = []
-        for value in sol:
-            if value.denominator != 1 or value < 0:
-                return False
-            coeffs_inf.append(int(value))
-    else:
-        coeffs_inf = []
-        if any(target[i] != 0 for i in free_rows):
-            return False
+        # gens and target are in canonical quotient coordinates; the free rows
+        # match already, as finite-order generators vanish there
+        return all(
+            sum(c * g[i] for c, g in zip(coeffs, gens)) % d == target[i]
+            for i, d in enumerate(quotient.orders)
+            if d
+        )
 
     ranges = [range(orders[k]) for k in finite]
     for combo in itertools.product(*ranges):
@@ -631,35 +563,6 @@ def mazur_check(
     return False
 
 
-def _solve_exact(rows, rhs):
-    """Least-structure exact solve of rows @ x = rhs; returns (x, consistent).
-
-    Requires the columns to be linearly independent; raises otherwise.
-    """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise IntegrityError("cone generators are not independent")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        scale = aug[r][c]
-        aug[r] = [v / scale for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None, False
-    return [aug[i][n] for i in range(n)], True
-
-
 # ---------------------------------------------------------------------------
 # Defect and virtual dimension
 
@@ -668,22 +571,6 @@ def _ad_delta_perm(tau: ExtAffElt, delta: DiagramAut) -> dict[int, int]:
     """The permutation of S~ labels given by s -> tau * delta(s) * tau^{-1}."""
     conj = omega_conjugation_perm(tau)
     return {lab: conj[delta.on_label(lab)] for lab in conj}
-
-
-def _perm_orbits(perm: dict[int, int]):
-    """Orbits of a permutation given as a dict, each sorted, by least member."""
-    labels = set(perm)
-    out = []
-    while labels:
-        seed = min(labels)
-        orbit = {seed}
-        j = perm[seed]
-        while j != seed:
-            orbit.add(j)
-            j = perm[j]
-        out.append(tuple(sorted(orbit)))
-        labels -= orbit
-    return out
 
 
 def defect_basic(b: BElement, delta: DiagramAut | None = None) -> int:
@@ -744,22 +631,6 @@ def ghkr_check(
 # Point counts over F_q for superbasic classes in type A
 
 
-def _is_superbasic_omega(x: ExtAffElt, delta: DiagramAut) -> bool:
-    if x.length != 0:
-        return False
-    perm = _ad_delta_perm(x, delta)
-    orbits = _perm_orbits(perm)
-    datum = x.datum
-    comps = []
-    for c, (_, rank, start) in enumerate(datum.components):
-        comps.append(frozenset({-c} | set(range(start + 1, start + rank + 1))))
-    for orbit in orbits:
-        touched = {comp for comp in comps if set(orbit) & comp}
-        if set(orbit) != set().union(*touched):
-            return False
-    return True
-
-
 def point_count_superbasic_a(
     w: ExtAffElt,
     x: ExtAffElt,
@@ -782,7 +653,8 @@ def point_count_superbasic_a(
         raise ValueError("point counts are implemented for the untwisted case")
     if len(datum.components) != 1 or datum.components[0][0] != "A":
         raise ValueError("point counts require an irreducible type A datum")
-    if not _is_superbasic_omega(x, delta):
+    # the type is irreducible: superbasic means one orbit of Ad(x) o delta on S~
+    if x.length != 0 or len(_perm_orbits(_ad_delta_perm(x, delta))) != 1:
         raise ValueError("x must be a superbasic length-0 element")
     from math import comb
 
@@ -810,20 +682,5 @@ def point_count_superbasic_a(
 
 
 def format_q_poly(coeffs) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        if k == 0:
-            term = str(abs(c))
-        else:
-            q = "q" if k == 1 else f"q^{k}"
-            term = q if abs(c) == 1 else f"{abs(c)}{q}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + term)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + term)
-    return " ".join(parts)
+    """Coefficients in ascending powers of q as text, highest power first."""
+    return _format_terms(reversed(tuple(enumerate(coeffs))), "q")

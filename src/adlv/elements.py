@@ -265,33 +265,35 @@ def omega_generator(datum: RootDatum) -> ExtAffElt | None:
     return gens[0] if gens else None
 
 
-def tau_power(datum: RootDatum, m: int) -> ExtAffElt:
-    """tau^m for the canonical generator; index into Omega when not cyclic."""
+@functools.cache
+def _tau_powers(datum: RootDatum) -> tuple[ExtAffElt, ...]:
+    """tau^0, tau^1, ... for the canonical generator; Omega when not cyclic."""
     omega = omega_group(datum)
     gen = omega_generator(datum)
-    if gen is not None:
-        out = identity(datum)
-        for _ in range(m % len(omega)):
-            out = out * gen
-        return out
-    if 0 <= m < len(omega):
-        return omega[m]
+    if gen is None:
+        return omega
+    powers = [identity(datum)]
+    while len(powers) < len(omega):
+        powers.append(powers[-1] * gen)
+    return tuple(powers)
+
+
+def tau_power(datum: RootDatum, m: int) -> ExtAffElt:
+    """tau^m for the canonical generator; index into Omega when not cyclic."""
+    powers = _tau_powers(datum)
+    if omega_generator(datum) is not None:
+        return powers[m % len(powers)]
+    if 0 <= m < len(powers):
+        return powers[m]
     raise ConfigError(f"tau^{m} is out of range for a non-cyclic Omega")
 
 
 def tau_token(tau: ExtAffElt) -> str:
     """Token tau^k naming an Omega element; inverse of tau_power."""
-    datum = tau.datum
-    omega = omega_group(datum)
-    gen = omega_generator(datum)
-    if gen is not None:
-        out = identity(datum)
-        for k in range(len(omega)):
-            if out == tau:
-                return f"tau^{k}"
-            out = out * gen
-        raise ValueError("not a length-0 element")
-    return f"tau^{omega.index(tau)}"
+    try:
+        return f"tau^{_tau_powers(tau.datum).index(tau)}"
+    except ValueError:
+        raise ValueError("not a length-0 element") from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from numbers import Rational
 
 from .errors import IntegrityError
 from .roots import RootDatum
@@ -39,7 +40,65 @@ __all__ = [
     "verify_path_independence",
 ]
 
-NEG_INF = float("-inf")
+class _Empty:
+    """The degree of the zero polynomial and the dimension of an empty variety.
+
+    ``EMPTY`` is the one instance.  It equals only itself, orders below every
+    int and ``Fraction`` from either side, and prints as ``EMPTY``; copies
+    and pickles return the same instance.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "EMPTY"
+
+    def __reduce__(self):
+        return "EMPTY"
+
+    def _order(self, other, below, same):
+        if other is self:
+            return same
+        if isinstance(other, Rational):
+            return below
+        return NotImplemented
+
+    def __lt__(self, other):
+        return self._order(other, True, False)
+
+    def __le__(self, other):
+        return self._order(other, True, True)
+
+    def __gt__(self, other):
+        return self._order(other, False, False)
+
+    def __ge__(self, other):
+        return self._order(other, False, True)
+
+
+EMPTY = _Empty()
+
+
+def _format_terms(terms, var: str) -> str:
+    """``c var^p`` terms from (power, coeff) pairs in the order given.
+
+    Zero coefficients are left out, a unit coefficient is not written, and
+    the signs join the terms; with no term left the text is ``0``.
+    """
+    parts = []
+    for power, c in terms:
+        if c == 0:
+            continue
+        if power == 0:
+            term = str(abs(c))
+        else:
+            x = var if power == 1 else f"{var}^{power}"
+            term = x if abs(c) == 1 else f"{abs(c)}{x}"
+        if parts:
+            parts.append(("- " if c < 0 else "+ ") + term)
+        else:
+            parts.append(("-" if c < 0 else "") + term)
+    return " ".join(parts) or "0"
 
 
 class XiPoly:
@@ -59,8 +118,8 @@ class XiPoly:
 
     @property
     def degree(self):
-        """Degree in xi; the zero polynomial has degree -inf."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        """Degree in xi; the zero polynomial has degree ``EMPTY``."""
+        return len(self.coeffs) - 1 if self.coeffs else EMPTY
 
     @property
     def constant_term(self) -> int:
@@ -140,28 +199,18 @@ class XiPoly:
         return {p: c for p, c in sorted(out.items(), reverse=True) if c != 0}
 
     def format_v(self) -> str:
-        coeffs = self.v_coefficients()
-        if not coeffs:
-            return "0"
-        parts = []
-        for power, c in coeffs.items():
-            if power == 0:
-                term = str(abs(c))
-            else:
-                v = "v" if power == 1 else f"v^{power}"
-                term = v if abs(c) == 1 else f"{abs(c)}{v}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
+        return _format_terms(self.v_coefficients().items(), "v")
 
     def jsonable(self):
         return {"xi_coeffs": list(self.coeffs)}
 
     @classmethod
     def from_jsonable(cls, data) -> "XiPoly":
-        return cls(data["xi_coeffs"])
+        """Inverse of ``jsonable``; any other shape raises ``ValueError``."""
+        coeffs = data.get("xi_coeffs") if isinstance(data, dict) else None
+        if not (isinstance(coeffs, list) and all(type(c) is int for c in coeffs)):
+            raise ValueError(f"not an xi-polynomial: {data!r}")
+        return cls(coeffs)
 
     def __repr__(self):
         return self.format_xi()
@@ -249,6 +298,15 @@ class ClassPolyTable:
 
     @classmethod
     def from_jsonable(cls, data) -> "ClassPolyTable":
+        """Inverse of ``jsonable``: an object with a string ``element`` and an
+        object ``table`` of xi-polynomials; any other shape raises
+        ``ValueError``."""
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("element"), str)
+            and isinstance(data.get("table"), dict)
+        ):
+            raise ValueError("not a class-polynomial table")
         return cls(
             element=data["element"],
             entries={

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from adlv.cli import main
 from adlv.elements import parse_element
 from adlv.hecke import ClassPolyEngine, class_polynomials
@@ -178,6 +180,27 @@ def test_cache_malformed_record_skipped(tmp_path, capsys):
     code, out, _ = run(capsys, *args, "--cache", str(cache))
     assert code == 0
     assert out == cold
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"element": "t[0]", "table": {"t[0]": 5}}',
+        '{"element": "garbage!!", "table": {}}',
+        '{"element": "t[0]", "table": {"t[0]": {"xi_coeffs": ["x"]}}}',
+        "[" * 100000 + "]" * 100000,
+    ],
+    ids=["table-value", "literal", "coefficient", "deep-json"],
+)
+def test_cache_record_that_does_not_parse_is_skipped(tmp_path, capsys, record):
+    args = ("dim", "--type", "A1", "--w", "w[0]", "--b", "unit")
+    _, cold, _ = run(capsys, *args)
+    cache = tmp_path / "tables.jsonl"
+    run(capsys, *args, "--cache", str(cache))
+    header = cache.read_text().splitlines()[0]
+    cache.write_text(header + "\n" + record + "\n")
+    code, out, err = run(capsys, *args, "--cache", str(cache))
+    assert (code, out, err) == (0, cold, "")
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

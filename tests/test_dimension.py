@@ -1,20 +1,26 @@
 """Dimension formulas, nonemptiness, defects, virtual dimensions, counts."""
 
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from adlv.roots import build_root_datum
+from adlv.lattices import dot
+from adlv.roots import build_root_datum, is_dominant
 from adlv.elements import (
     identity,
     omega_group,
     parse_element,
     translation,
 )
-from adlv.conjugacy import kottwitz_class
+from adlv.conjugacy import kottwitz_class, raw_newton_point
 from adlv.dimension import (
     EMPTY,
     BElement,
+    ClassContribution,
+    DimReport,
+    GhkrReport,
     defect_basic,
     dim_adlv,
     dim_grassmannian,
@@ -178,6 +184,37 @@ def test_mazur_proper_levi_against_dimension(a2):
         assert claim == truth, (mu, claim, truth)
 
 
+def test_mazur_on_every_proper_levi_against_dimension():
+    """``mazur_check`` agrees with the class-polynomial nonemptiness of X_mu(b).
+
+    On A2, C2, G2 and A3: every nonempty proper J; every t^lambda with lambda in
+    {0,1,2}^r that is basic in the Levi of J and has a dominant Newton point;
+    every dominant mu in {0,1,2}^r with <mu, 2 rho> <= 8.  Each pair reaches
+    the free-row solve of the criterion.
+    """
+    pairs = 0
+    for label in ("A2", "C2", "G2", "A3"):
+        datum = build_root_datum(label)
+        engine = ClassPolyEngine(datum)
+        box = list(itertools.product(range(3), repeat=datum.rank))
+        mus = [mu for mu in box if dot(datum.rho2, mu) <= 8]
+        for size in range(1, datum.rank):
+            for J in itertools.combinations(range(1, datum.rank + 1), size):
+                for lam in box:
+                    rep = translation(datum, lam)
+                    nu = raw_newton_point(rep)
+                    if any(nu[j - 1] for j in J) or not is_dominant(nu):
+                        continue
+                    b = BElement.from_element(rep)
+                    for mu in mus:
+                        truth = dim_grassmannian(
+                            mu, b, engine=engine, cross_check=False
+                        ).nonempty
+                        assert mazur_check(mu, rep, J) == truth, (label, J, lam, mu)
+                        pairs += 1
+    assert pairs == 102 + 360
+
+
 def test_mazur_hypothesis_checks(a2):
     # representative must be basic inside its Levi
     with pytest.raises(ValueError):
@@ -216,3 +253,62 @@ def test_point_count_degree_matches_dimension(a1):
                 assert count == ()
             else:
                 assert len(count) - 1 == dim
+
+
+def test_format_q_poly():
+    assert format_q_poly(()) == "0"
+    assert format_q_poly((0, 0)) == "0"  # all-zero coefficients; "" before
+    assert format_q_poly((0, 0, -1)) == "-q^2"
+    assert format_q_poly((1, -1)) == "-q + 1"
+    assert format_q_poly((0, -3, 3)) == "3q^2 - 3q"
+    assert format_q_poly((-1, 0, 1)) == "q^2 - 1"
+    assert format_q_poly((1, 1, 1)) == "q^2 + q + 1"
+
+
+def test_reports_render_exact_values_for_json():
+    """Integral values are ints, other fractions and EMPTY are text, and None
+    and booleans pass through, in every report's ``jsonable``."""
+    for value, rendered in ((Fraction(3), 3), (Fraction(3, 2), "3/2")):
+        contribution = ClassContribution("t[0,0]", 0, 1, value)
+        assert contribution.jsonable()["candidate"] == rendered
+    whole = ClassContribution("t[0,0]", 0, 1, Fraction(3))
+    cases = (
+        (EMPTY, None, "EMPTY", None),
+        (Fraction(3), Fraction(3, 2), 3, "3/2"),
+        (Fraction(3, 2), Fraction(3), "3/2", 3),
+    )
+    for dim, virtual, dim_out, virtual_out in cases:
+        data = DimReport(
+            input={"element": "x"},
+            contributions=[whole],
+            dim=dim,
+            nonempty=dim is not EMPTY,
+            newton_drop=Fraction(0),
+            virtual_dim=virtual,
+        ).jsonable()
+        assert (data["dim"], data["virtual_dim"]) == (dim_out, virtual_out)
+        assert data["nonempty"] is (dim is not EMPTY)
+        assert data["classes"] == [
+            {"rep": "t[0,0]", "len": 0, "deg": 1, "candidate": 3}
+        ]
+        ghkr = GhkrReport(
+            element="x",
+            b_label="unit",
+            dim=dim,
+            virtual=virtual,
+            kappa_match=True,
+            lower_applicable=False,
+            lower_holds=None,
+            upper_applicable=True,
+            upper_holds=False,
+            equality_applicable=False,
+            equality_holds=None,
+        ).jsonable()
+        assert (ghkr["dim"], ghkr["virtual_dim"]) == (dim_out, virtual_out)
+        assert ghkr["kappa_match"] is True
+        assert ghkr["lower"] == {"applicable": False, "holds": None}
+        assert ghkr["upper"] == {"applicable": True, "holds": False}
+        for out in (data, ghkr):
+            for key in ("dim", "virtual_dim"):
+                assert type(out[key]) in (int, str, type(None))
+            json.dumps(out)

@@ -19,6 +19,7 @@ from adlv.conjugacy import class_key, class_info, same_conjugacy_class
 from adlv.hecke import (
     ClassPolyEngine,
     ClassPolyTable,
+    EMPTY,
     XiPoly,
     class_polynomials,
     hecke_mul,
@@ -38,7 +39,7 @@ def test_xipoly_arithmetic():
     one = XiPoly.ONE
     assert xi * xi + one == XiPoly((1, 0, 1))
     assert (xi + one).coeffs == (1, 1)
-    assert XiPoly((0, 0)).is_zero and XiPoly((0, 0)).degree == float("-inf")
+    assert XiPoly((0, 0)).is_zero and XiPoly((0, 0)).degree is EMPTY
     assert XiPoly((1, 2)).shift(2).coeffs == (0, 0, 1, 2)
     assert 3 * xi == XiPoly((0, 3))
     assert XiPoly((1, 0, 3)).coeff(2) == 3 and XiPoly((1, 0, 3)).coeff(5) == 0
@@ -52,6 +53,34 @@ def test_xipoly_display_and_json():
     p = XiPoly((2, 0, 5))
     assert XiPoly.from_jsonable(p.jsonable()) == p
     assert p.jsonable() == {"xi_coeffs": [2, 0, 5]}
+
+
+def test_format_v_signs_units_and_negative_powers():
+    assert XiPoly.ZERO.format_v() == "0"
+    assert XiPoly((0, -1)).format_v() == "-v + v^-1"
+    assert XiPoly((1, -2)).format_v() == "-2v + 1 + 2v^-1"
+    assert XiPoly((0, 0, -1)).format_v() == "-v^2 + 2 - v^-2"
+    assert XiPoly((0, 1, 0, 1)).format_v() == "v^3 - 2v + 2v^-1 - v^-3"
+    assert XiPoly((-1,)).format_v() == "-1"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        None,
+        [],
+        {"element": "t[0]"},
+        {"element": 0, "table": {}},
+        {"element": "t[0]", "table": {"t[0]": 5}},
+        {"element": "t[0]", "table": {"t[0]": {}}},
+        {"element": "t[0]", "table": {"t[0]": {"xi_coeffs": ["x"]}}},
+        {"element": "t[0]", "table": {"t[0]": {"xi_coeffs": [1.5]}}},
+        {"element": "t[0]", "table": {"t[0]": {"xi_coeffs": [True]}}},
+    ],
+)
+def test_table_from_jsonable_rejects_other_shapes(data):
+    with pytest.raises(ValueError):
+        ClassPolyTable.from_jsonable(data)
 
 
 # --- T-basis multiplication -----------------------------------------------------
