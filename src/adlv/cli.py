@@ -130,7 +130,7 @@ class TableCache:
         }
         self.datum = datum
         self.loaded = {}  # element -> table, from the records that parse
-        self._preexisting: set[str] = set()
+        self._preexisting: set = set()  # elements the file holds a record of
         self._foreign = False  # the file belongs to another run: leave it be
         if path and os.path.exists(path):
             self._read(path)
@@ -158,7 +158,7 @@ class TableCache:
             except (ValueError, RecursionError):  # and JSON nested too deep
                 continue
             self.loaded[elt] = record.entries
-            self._preexisting.add(record.element)
+            self._preexisting.add(elt)
 
     def preload(self, engine: ClassPolyEngine):
         engine.memo.update(self.loaded)
@@ -184,11 +184,10 @@ class TableCache:
             return
         new_records = []
         for elt, table in engine.memo.items():
-            record = ClassPolyTable(element_literal(elt), table)
-            if record.element in self._preexisting:
+            if elt in self._preexisting:
                 continue
-            self._preexisting.add(record.element)
-            new_records.append(record.jsonable())
+            self._preexisting.add(elt)
+            new_records.append(ClassPolyTable(element_literal(elt), table).jsonable())
         fresh = not os.path.exists(self.path) or not self.loaded
         mode = "a"
         if fresh:

@@ -26,7 +26,7 @@ import re
 import sys
 from dataclasses import dataclass
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import BudgetError, ConfigError, IntegrityError
 from .roots import FiniteWeylElt, RootDatum, dominant_rep
@@ -59,9 +59,31 @@ __all__ = [
 
 
 class ExtAffElt:
-    """t^mu * w with mu in the coweight lattice and w in the finite Weyl group."""
+    """t^mu * w with mu in the coweight lattice and w in the finite Weyl group.
 
-    __slots__ = ("datum", "mu", "w", "_hash", "_length", "_rword")
+    ``length`` is the sum over the positive roots a of
+    ``|<a, mu> - [w^{-1}(a) < 0]|``, computed on first use, unless the
+    element was made by a product that knows it.  A product with a simple
+    reflection is one O(r) step, and it sets its length from the other
+    factor's known length.  The simple reflection of label ``lab`` (set by
+    ``simple_reflections``) is the reflection in the affine root
+    ``beta + k``: beta = alpha_i and k = 0 for a finite label i, and
+    beta = -theta_c and k = 1 for the label -c.  For ``x = t^mu w``:
+
+    * ``s * x`` is ``t^(mu - c beta^vee) s_beta w`` with
+      ``c = <beta, mu> + k``, one step longer than x exactly when
+      ``c - [w^{-1}(beta) < 0] >= 0``;
+    * ``x * s`` is ``t^(mu - k gamma^vee) w s_beta`` with
+      ``gamma = w(beta)``, one step longer than x exactly when
+      ``k - <gamma, mu> - [gamma < 0] >= 0``.
+
+    These are the signs of the affine roots ``beta + k`` and ``x(beta + k)``
+    (Bjorner-Brenti, ch. 8).  A product with a length-0 factor, the inverse
+    and a diagram twist keep the length, and a right factor with
+    translation 0 costs no ``coweight_action``.
+    """
+
+    __slots__ = ("datum", "mu", "w", "_hash", "_length", "_rword", "_label")
 
     def __init__(self, datum: RootDatum, mu, w: FiniteWeylElt):
         mu = tuple(mu)
@@ -73,6 +95,7 @@ class ExtAffElt:
         self._hash = hash((datum.label, mu, w.mat))
         self._length = None
         self._rword = None
+        self._label = None
 
     def __eq__(self, other):
         return (
@@ -93,16 +116,49 @@ class ExtAffElt:
             other = from_weyl(other)
         if not isinstance(other, ExtAffElt):
             return NotImplemented
-        if self.datum is not other.datum:
+        datum = self.datum
+        if datum is not other.datum:
             raise ValueError("elements belong to different root data")
-        shifted = self.w.coweight_action(other.mu)
-        mu = tuple(a + b for a, b in zip(self.mu, shifted))
-        return ExtAffElt(self.datum, mu, self.w * other.w)
+        n = len(datum.positive_roots)
+        if self._label is not None:
+            kb, k = _affine_root(datum, self._label)
+            mu, w = other.mu, other.w
+            c = sum(map(mul, datum.roots[kb], mu)) + k
+            if c:
+                mu = tuple(a - c * b for a, b in zip(mu, datum.coroots[kb]))
+            out = ExtAffElt(datum, mu, self.w * w)
+            if other._length is not None:
+                out._length = other._length + (1 if c >= (w.p[kb] >= n) else -1)
+            return out
+        if other._label is not None:
+            kb, k = _affine_root(datum, other._label)
+            mu, w = self.mu, self.w
+            kg = w.inverse().p[kb]  # the index of w(beta)
+            out = ExtAffElt(
+                datum,
+                tuple(a - b for a, b in zip(mu, datum.coroots[kg])) if k else mu,
+                w * other.w,
+            )
+            if self._length is not None:
+                c = k - sum(map(mul, datum.roots[kg], mu))
+                out._length = self._length + (1 if c >= (kg >= n) else -1)
+            return out
+        mu = self.mu
+        if any(other.mu):
+            mu = tuple(map(add, mu, self.w.coweight_action(other.mu)))
+        out = ExtAffElt(datum, mu, self.w * other.w)
+        if self._length == 0:
+            out._length = other._length
+        elif other._length == 0:
+            out._length = self._length
+        return out
 
     def inverse(self) -> "ExtAffElt":
         winv = self.w.inverse()
         mu = tuple(-c for c in winv.coweight_action(self.mu))
-        return ExtAffElt(self.datum, mu, winv)
+        out = ExtAffElt(self.datum, mu, winv)
+        out._length = self._length
+        return out
 
     @property
     def is_translation(self) -> bool:
@@ -122,6 +178,14 @@ class ExtAffElt:
                 for a, neg in zip(self.datum.positive_roots, self.w.neg_flags)
             )
         return self._length
+
+
+def _affine_root(datum: RootDatum, lab: int) -> tuple[int, int]:
+    """(index of beta in ``datum.roots``, k) for the affine root beta + k of s_lab."""
+    if lab > 0:
+        return datum.simple_index[lab - 1], 0
+    theta, _ = datum.highest_roots[-lab]
+    return datum.root_index[theta] + len(datum.positive_roots), 1
 
 
 class AffineReflection:
@@ -146,7 +210,9 @@ def from_weyl(w: FiniteWeylElt) -> ExtAffElt:
 
 
 def identity(datum: RootDatum) -> ExtAffElt:
-    return from_weyl(datum.identity_weyl)
+    out = from_weyl(datum.identity_weyl)
+    out._length = 0
+    return out
 
 
 @functools.cache
@@ -162,6 +228,7 @@ def simple_reflections(datum: RootDatum) -> dict[int, ExtAffElt]:
     for lab, s in ordered.items():
         if s.length != 1:
             raise IntegrityError(f"simple reflection s{lab} has length != 1")
+        s._label = lab
     return ordered
 
 
@@ -397,7 +464,9 @@ class DiagramAut:
         if isinstance(x, FiniteWeylElt):
             return self.on_weyl(x)
         if isinstance(x, ExtAffElt):
-            return ExtAffElt(self.datum, self.on_coweight(x.mu), self.on_weyl(x.w))
+            out = ExtAffElt(self.datum, self.on_coweight(x.mu), self.on_weyl(x.w))
+            out._length = x._length
+            return out
         if isinstance(x, int):
             return self.on_label(x)
         raise TypeError(f"cannot apply a diagram automorphism to {type(x)!r}")

@@ -107,7 +107,10 @@ class XiPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if type(c) is not int:  # a bool or a float would pass int(c)
+                raise TypeError(f"xi-polynomial coefficient {c!r} is not an int")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         self.coeffs = coeffs

@@ -14,7 +14,9 @@ Conventions, fixed once for the whole package:
 * ``cartan[i][j] = <alpha_i^vee, alpha_j>`` (0-based storage).
 * ``datum.roots`` lists the positive roots (sorted by height, then
   coordinates) followed by their negatives in the same order, and
-  ``datum.root_index`` maps each root to its place in that list.  A Weyl
+  ``datum.root_index`` maps each root to its place in that list;
+  ``datum.coroots`` lists their coroots in fundamental-coweight
+  coordinates, in the same order.  A Weyl
   element is stored as the permutation of these indices that its inverse
   induces (see :class:`FiniteWeylElt`), so products, inverses, lengths and
   the diagram twist are index lookups for every type from A1 to E8, and no
@@ -28,6 +30,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import re
+from itertools import compress
 from operator import itemgetter, mul
 from typing import Iterator
 
@@ -291,6 +294,9 @@ class RootDatum:
         self.positive_coroots = tuple(found[a] for a in ordered)
         self.roots = self.positive_roots + tuple(
             tuple(-c for c in a) for a in ordered
+        )
+        self.coroots = self.positive_coroots + tuple(
+            tuple(-c for c in v) for v in self.positive_coroots
         )
         self.root_index = {a: k for k, a in enumerate(self.roots)}
         self.simple_index = tuple(
@@ -573,14 +579,15 @@ def min_coset_reps(
 
 
 def in_parabolic(w: FiniteWeylElt, J) -> bool:
-    """Membership of w in the standard parabolic W_J, J a set of finite labels."""
+    """Membership of w in the standard parabolic W_J, J a set of finite labels.
+
+    w lies in W_J exactly when every positive root that w^{-1} makes
+    negative (the roots ``neg_flags`` marks) lies in the span of the simple
+    roots of J.
+    """
     J = set(J)
-    u = w
-    while not u.is_identity:
-        for i in J:
-            if u.has_left_descent(i):
-                u = w.datum.simple_weyl(i) * u
-                break
-        else:
-            return False
+    for a in compress(w.datum.positive_roots, w.neg_flags):
+        for i, c in enumerate(a, 1):
+            if c and i not in J:
+                return False
     return True

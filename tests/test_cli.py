@@ -203,6 +203,23 @@ def test_cache_record_that_does_not_parse_is_skipped(tmp_path, capsys, record):
     assert (code, out, err) == (0, cold, "")
 
 
+def test_cache_record_with_a_non_canonical_literal_is_not_stored_again(tmp_path, capsys):
+    # "s1" and "t[0,0]*s1" name the same element; the record written by hand
+    # as "s1" must count as that element's record
+    args = ("dim", "--type", "A2", "--w", "s1", "--b", "unit")
+    _, cold, _ = run(capsys, *args)
+    cache = tmp_path / "tables.jsonl"
+    run(capsys, *args, "--cache", str(cache))
+    lines = cache.read_text().splitlines()
+    assert [json.loads(line)["element"] for line in lines[1:]] == ["t[0,0]*s1"]
+    cache.write_text("\n".join(lines).replace('"element": "t[0,0]*s1"', '"element": "s1"') + "\n")
+    before = cache.read_bytes()
+    for _ in range(2):
+        code, out, _ = run(capsys, *args, "--cache", str(cache))
+        assert (code, out) == (0, cold)
+        assert cache.read_bytes() == before
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "env-cache.jsonl"
     monkeypatch.setenv("ADLV_CACHE", str(cache))

@@ -9,6 +9,7 @@ from adlv.errors import ConfigError
 from adlv.roots import build_root_datum
 from adlv.elements import (
     DiagramAut,
+    ExtAffElt,
     bruhat_leq,
     demazure_product,
     double_coset_form,
@@ -130,6 +131,61 @@ def test_length_parity_and_symmetries():
         assert flip(x).length == x.length
         for tau in omega_group(a2):
             assert (tau * x * flip(tau).inverse()).length == x.length
+
+
+def assert_carried_length(x):
+    """x's length came with it, and equals the full sum and the hyperplane count."""
+    assert x._length is not None, x
+    fresh = ExtAffElt(x.datum, x.mu, x.w)
+    assert x._length == fresh.length == hyperplane_length(x), x
+
+
+@pytest.mark.parametrize(
+    "label", ["A1", "A2", "A3", "B3", "C2", "G2", "D4", "E6", "A2xA1"]
+)
+def test_products_carry_the_length(label):
+    # right and left products with simple reflections, inverses and Omega
+    # conjugates, each starting from an element whose length is known
+    datum = build_root_datum(label)
+    rng = random.Random(f"carry:{label}")
+    refl = simple_reflections(datum)
+    labels = list(refl)
+    omega = omega_group(datum)
+    for _ in range(20):
+        x = rng.choice(omega)
+        for _ in range(rng.randrange(1, 16)):
+            x = x * refl[rng.choice(labels)]
+            assert_carried_length(x)
+        s = refl[rng.choice(labels)]
+        for y in (x.inverse(), s * x, x * s, s * x * s, s * x.inverse() * s):
+            assert_carried_length(y)
+        for tau in omega:
+            assert_carried_length(tau * x * tau.inverse())
+            assert_carried_length(x * tau)
+
+
+@pytest.mark.parametrize(
+    "label,images",
+    [("A2", (2, 1)), ("A1xA1", (2, 1)), ("D4", (3, 2, 4, 1))],
+    ids=["A2-flip", "A1xA1-swap", "D4-triality"],
+)
+def test_twisted_moves_carry_the_length(label, images):
+    datum = build_root_datum(label)
+    delta = DiagramAut.from_one_based(datum, images)
+    rng = random.Random(f"carry:{label}:{images}")
+    refl = simple_reflections(datum)
+    labels = list(refl)
+    omega = omega_group(datum)
+    for _ in range(30):
+        x = rng.choice(omega)
+        for _ in range(rng.randrange(1, 16)):
+            lab = rng.choice(labels)
+            x = x * refl[lab] if rng.randrange(2) else refl[lab] * x
+        assert_carried_length(delta(x))
+        for lab in labels:
+            assert_carried_length(refl[lab] * x * refl[delta.on_label(lab)])
+        for tau in omega:
+            assert_carried_length(tau * x * delta(tau).inverse())
 
 
 # --- Omega -----------------------------------------------------------------

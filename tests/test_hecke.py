@@ -45,6 +45,18 @@ def test_xipoly_arithmetic():
     assert XiPoly((1, 0, 3)).coeff(2) == 3 and XiPoly((1, 0, 3)).coeff(5) == 0
 
 
+@pytest.mark.parametrize("coeffs", [(1.5, True), (1, True), (2.0,), ("1",), (None,)])
+def test_xipoly_rejects_coefficients_that_are_not_ints(coeffs):
+    with pytest.raises(TypeError, match="is not an int"):
+        XiPoly(coeffs)
+
+
+def test_xipoly_keeps_int_coefficients():
+    assert XiPoly([3, -1, 0]).coeffs == (3, -1)
+    assert XiPoly(c for c in (0, 2)).coeffs == (0, 2)
+    assert (XiPoly.XI * 2).coeffs == (0, 2)
+
+
 def test_xipoly_display_and_json():
     assert XiPoly((1, 0, 3)).format_xi() == "3ξ^2 + 1"
     assert XiPoly((0, 0, 1)).format_v() == "v^2 - 2 + v^-2"

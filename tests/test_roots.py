@@ -11,6 +11,7 @@ from adlv.lattices import identity_matrix, mat_inverse, mat_mul, vec_mat
 from adlv.roots import (
     build_root_datum,
     dominant_rep,
+    in_parabolic,
     min_coset_reps,
     weyl_act,
     weyl_group,
@@ -383,3 +384,32 @@ def test_weyl_from_matrix_rejects_root_symmetries_outside_w(label, symmetry):
                 datum.weyl_from_matrix(mat)
         assert datum.weyl_from_matrix(w.mat) is w
     assert set(datum._weyl_cache.values()) == set(group)
+
+
+def _in_parabolic_by_descents(w, J):
+    """Reference: peel left descents in J one product at a time."""
+    u = w
+    while not u.is_identity:
+        for i in J:
+            if u.has_left_descent(i):
+                u = w.datum.simple_weyl(i) * u
+                break
+        else:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4", "A2xA1"])
+def test_in_parabolic_matches_descent_peeling(label):
+    datum = build_root_datum(label)
+    labels = range(1, datum.rank + 1)
+    subsets = [J for k in range(datum.rank + 1) for J in itertools.combinations(labels, k)]
+    members = {J: 0 for J in subsets}
+    for w in weyl_group(datum):
+        for J in subsets:
+            inside = in_parabolic(w, J)
+            assert inside == _in_parabolic_by_descents(w, J), (w, J)
+            members[J] += inside
+    # |W_J| for the whole set and the empty set
+    assert members[()] == 1
+    assert members[tuple(labels)] == len(weyl_group(datum))
