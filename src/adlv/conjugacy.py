@@ -21,6 +21,7 @@ from .roots import (
     RootDatum,
     dominant_rep,
     in_parabolic,
+    levi_root_mask,
     min_coset_reps,
 )
 from .elements import (
@@ -34,6 +35,7 @@ from .elements import (
     element_literal,
     elements_of_length,
     identity,
+    length_summands,
     omega_group,
     parse_element,
     simple_reflections,
@@ -628,13 +630,8 @@ def min2_decompose(
 
 def _length_in_levi(x: ExtAffElt, J) -> int:
     """Length of x inside P x W_J: the length sum restricted to roots spanned by J."""
-    datum = x.datum
-    J0 = {j - 1 for j in J}
-    return sum(
-        abs(dot(a, x.mu) - neg)
-        for a, neg in zip(datum.positive_roots, x.w.neg_flags)
-        if all(a[i] == 0 or i in J0 for i in range(datum.rank))
-    )
+    inside = levi_root_mask(x.datum, J)
+    return sum(map(abs, itertools.compress(length_summands(x), inside)))
 
 
 def _levi_components(datum: RootDatum, J):
@@ -658,13 +655,9 @@ def _levi_components(datum: RootDatum, J):
 
 
 def _levi_highest_root(datum: RootDatum, comp):
-    nodes = {j - 1 for j in comp}
-    best = None
-    for k, a in enumerate(datum.positive_roots):
-        support = {i for i in range(datum.rank) if a[i] != 0}
-        if support <= nodes:
-            if best is None or sum(a) > sum(datum.positive_roots[best]):
-                best = k
+    inside = levi_root_mask(datum, comp)
+    best = max(itertools.compress(range(len(inside)), inside),
+               key=lambda k: sum(datum.positive_roots[k]))
     return datum.positive_roots[best], datum.positive_coroots[best]
 
 
@@ -779,10 +772,9 @@ def is_jw_alcove(
     y = y * ExtAffElt(datum, (0,) * datum.rank, dw)
     if not in_parabolic(y.w, J):
         return False
-    J0 = {j - 1 for j in J}
     u = x.w
-    for alpha in datum.positive_roots:
-        if all(alpha[i] == 0 or i in J0 for i in range(datum.rank)):
+    for alpha, inside in zip(datum.positive_roots, levi_root_mask(datum, J)):
+        if inside:
             continue
         a = w.root_action(alpha)
         pairing = dot(a, x.mu)

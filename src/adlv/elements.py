@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import re
-import sys
 from dataclasses import dataclass
 from math import lcm
 from operator import add, mul
@@ -50,6 +49,7 @@ __all__ = [
     "supp_delta",
     "double_coset_form",
     "eta_delta",
+    "length_summands",
     "is_lowest_cell",
     "elements_of_length",
     "TraceStep",
@@ -172,12 +172,20 @@ class ExtAffElt:
     def length(self) -> int:
         """Sum over positive roots a of |<a, mu> - [w^{-1}(a) < 0]|."""
         if self._length is None:
-            mu = self.mu
-            self._length = sum(
-                abs(sum(map(mul, a, mu)) - neg)
-                for a, neg in zip(self.datum.positive_roots, self.w.neg_flags)
-            )
+            self._length = sum(map(abs, length_summands(self)))
         return self._length
+
+
+def length_summands(x: ExtAffElt) -> list[int]:
+    """``<a, mu> - [w^{-1}(a) < 0]`` for each positive root a, in datum order.
+
+    The absolute value of the summand of a counts the hyperplanes of the
+    root a that separate the base alcove from x(alcove), so the length is
+    the sum of the absolute values.
+    """
+    mu = x.mu
+    return [sum(map(mul, a, mu)) - neg
+            for a, neg in zip(x.datum.positive_roots, x.w.neg_flags)]
 
 
 def _affine_root(datum: RootDatum, lab: int) -> tuple[int, int]:
@@ -788,34 +796,17 @@ class OrbitWalk:
         return ReductionTrace(steps=tuple(reversed(steps)), terminal=elt)
 
 
-@functools.cache
 def is_lowest_cell(x: ExtAffElt) -> bool:
     """Membership in the lowest two-sided cell.
 
-    An element lies there exactly when it factors as u * w0 * v with all
-    three lengths adding up, w0 the longest finite element.  An unbudgeted
-    ``OrbitWalk`` goes through the additive right quotients of x (peeling
-    letters and length-0 factors off the right, down to the length of w0)
-    and stops at one whose right descents cover every finite label.
+    That cell is the set of u * w0 * v with all three lengths adding up, w0
+    the longest finite element.  Shi ("A two-sided cell in an affine Weyl
+    group", J. London Math. Soc. 36 (1987), and "... II", 37 (1988)) shows
+    that x lies in it exactly when no summand of its length sum is zero.
+    No length guard is needed: |Phi+| nonzero summands already give
+    length(x) >= |Phi+| = length(w0).
     """
-    datum = x.datum
-    w0_len = datum.w0().length
-    if x.length < w0_len:
-        return False
-    refl = simple_reflections(datum)
-    finite = set(range(1, datum.rank + 1))
-    omegas = [t for t in omega_group(datum) if not t.is_identity]
-
-    def quotients(z):
-        """(right descents of z, the quotients the walk follows)."""
-        images = [(lab, z * s) for lab, s in refl.items()]
-        descents = [(lab, zs) for lab, zs in images if zs.length < z.length]
-        follow = [(lab, zs) for lab, zs in descents if zs.length >= w0_len]
-        return descents, follow + [(tau, z * tau) for tau in omegas]
-
-    walk = OrbitWalk(quotients, sys.maxsize, "lowest-cell search")
-    return any(finite <= {lab for lab, _ in descents}
-               for _, descents in walk.walk([x]))
+    return all(length_summands(x))
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
 import re
-from itertools import compress
-from operator import itemgetter, mul
+from operator import gt, itemgetter, mul
 from typing import Iterator
 
 from .errors import ConfigError
@@ -578,6 +578,14 @@ def min_coset_reps(
         length += 1
 
 
+@functools.cache
+def levi_root_mask(datum: RootDatum, J) -> tuple[bool, ...]:
+    """For each positive root, in datum order, whether it lies in the span
+    of the simple roots of J, a hashable collection of finite labels."""
+    outside = [i for i in range(datum.rank) if i + 1 not in J]
+    return tuple(not any(a[i] for i in outside) for a in datum.positive_roots)
+
+
 def in_parabolic(w: FiniteWeylElt, J) -> bool:
     """Membership of w in the standard parabolic W_J, J a set of finite labels.
 
@@ -585,9 +593,4 @@ def in_parabolic(w: FiniteWeylElt, J) -> bool:
     negative (the roots ``neg_flags`` marks) lies in the span of the simple
     roots of J.
     """
-    J = set(J)
-    for a in compress(w.datum.positive_roots, w.neg_flags):
-        for i, c in enumerate(a, 1):
-            if c and i not in J:
-                return False
-    return True
+    return not any(map(gt, w.neg_flags, levi_root_mask(w.datum, frozenset(J))))

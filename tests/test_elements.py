@@ -388,6 +388,52 @@ def test_lowest_cell_fixtures():
     assert not is_lowest_cell(omega_group(a1)[1])
 
 
+def _lowest_cell_by_quotients(x):
+    """Reference: walk the additive right quotients of x.
+
+    x lies in the lowest two-sided cell exactly when it factors as
+    u * w0 * v with adding lengths, that is, when peeling letters and
+    length-0 factors off the right, never below the length of w0, reaches
+    an element whose right descents cover every finite label.
+    """
+    datum = x.datum
+    w0_len = datum.w0().length
+    if x.length < w0_len:
+        return False
+    refl = simple_reflections(datum)
+    finite = set(range(1, datum.rank + 1))
+    omegas = [t for t in omega_group(datum) if not t.is_identity]
+    seen = {x}
+    queue = [x]
+    for z in queue:
+        descents = {lab: zs for lab, s in refl.items()
+                    if (zs := z * s).length < z.length}
+        if finite <= descents.keys():
+            return True
+        follow = [zs for zs in descents.values() if zs.length >= w0_len]
+        for y in follow + [z * tau for tau in omegas]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return False
+
+
+@pytest.mark.parametrize(
+    "label,max_length",
+    [("A1", 8), ("A2", 9), ("C2", 10), ("G2", 14), ("A3", 8), ("B3", 10),
+     ("C3", 10), ("A1xA1", 6), ("A2xA1", 5)],
+)
+def test_lowest_cell_matches_quotient_walk(label, max_length):
+    datum = build_root_datum(label)
+    found = set()
+    for n in range(max_length + 1):
+        for x in elements_of_length(datum, n):
+            inside = is_lowest_cell(x)
+            assert inside == _lowest_cell_by_quotients(x), x
+            found.add(inside)
+    assert found == {False, True}
+
+
 def test_lowest_cell_additive_factorization():
     # membership certifies u * w0 * v with adding lengths; spot-check closure
     a2 = build_root_datum("A2")

@@ -1,17 +1,26 @@
-"""Property tests of twisted class identity on random elements (Hypothesis).
+"""Property tests on random elements (Hypothesis).
 
 Each example draws an element x and a conjugator z of the extended affine
 Weyl group, as an Omega element times a word in the affine simple
-reflections, and checks that the class of x does not see the twisted
-conjugation x -> z x delta(z)^{-1}.
+reflections.  The tests check that the class of x does not see the twisted
+conjugation x -> z x delta(z)^{-1}, and that the length and the lowest-cell
+test of x and of its conjugate agree with their test-only oracles.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adlv.conjugacy import class_key, same_conjugacy_class
-from adlv.elements import coerce_delta, omega_group, simple_reflections
+from adlv.elements import (
+    coerce_delta,
+    is_lowest_cell,
+    length_summands,
+    omega_group,
+    simple_reflections,
+)
 from adlv.roots import build_root_datum
+
+from test_elements import _lowest_cell_by_quotients, hyperplane_length
 
 # (type, delta images or None, longest word for x, longest word for z)
 CASES = [
@@ -21,6 +30,11 @@ CASES = [
     ("A3", [3, 2, 1], 6, 4),
     ("D4", [3, 2, 4, 1], 5, 3),
 ]
+
+# letter choices for x in the length and lowest-cell tests: 6 to 16 letters
+# of a reduced word, so x reaches the length of w0 on G2 and A3 (6) and
+# often passes it on B3 (9) and D4 (12)
+LONG_WORDS = st.lists(st.integers(0, 8), min_size=6, max_size=16)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -49,6 +63,20 @@ def _pair(label, images, x_word, z_word, data):
     return delta, x, z * x * delta(z).inverse()
 
 
+def _long_pair(label, images, z_word, data):
+    """Like ``_pair``, with x an Omega element times a reduced word, each
+    letter drawn among those that lengthen it."""
+    datum = build_root_datum(label)
+    delta = coerce_delta(datum, images)
+    refl = simple_reflections(datum).values()
+    x = _element(datum, data.draw(st.integers(0, 8), label="omega"), [])
+    for k in data.draw(LONG_WORDS, label="word"):
+        longer = [s for s in refl if (s * x).length > x.length]
+        x = longer[k % len(longer)] * x
+    z = _draw(data, datum, z_word)
+    return delta, x, z * x * delta(z).inverse()
+
+
 @pytest.mark.parametrize("label,images,x_word,z_word", CASES)
 @SETTINGS
 @given(data=st.data())
@@ -64,3 +92,22 @@ def test_twisted_conjugate_is_in_the_same_class(label, images, x_word, z_word, d
     delta, x, y = _pair(label, images, x_word, z_word, data)
     assert same_conjugacy_class(x, y, delta)
     assert same_conjugacy_class(y, x, delta)
+
+
+@pytest.mark.parametrize("label,images,x_word,z_word", CASES)
+@SETTINGS
+@given(data=st.data())
+def test_length_is_the_hyperplane_count(label, images, x_word, z_word, data):
+    _, x, y = _long_pair(label, images, z_word, data)
+    assert x._length is not None  # carried through the products that built x
+    assert x._length == hyperplane_length(x)
+    assert sum(map(abs, length_summands(y))) == hyperplane_length(y)
+
+
+@pytest.mark.parametrize("label,images,x_word,z_word", CASES)
+@SETTINGS
+@given(data=st.data())
+def test_lowest_cell_agrees_with_the_quotient_walk(label, images, x_word, z_word, data):
+    _, x, y = _long_pair(label, images, z_word, data)
+    assert is_lowest_cell(x) == _lowest_cell_by_quotients(x)
+    assert is_lowest_cell(y) == _lowest_cell_by_quotients(y)
