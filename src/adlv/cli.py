@@ -1,5 +1,13 @@
 """Command-line interface: classify, dim, and sweep subcommands.
 
+Every subcommand takes ``--type`` and ``--delta``; the others take only the
+options they read.  ``classify``: ``--max-length``, ``--format``.  ``dim``:
+``--w``, ``--b``, ``--format``, ``--cache``, ``--budget``, ``--defect``,
+``--emit-trace``, ``--strict-reduced``.  ``sweep``: ``--max-length``,
+``--check``, ``--b``, ``--cache``, ``--budget``, ``--seed``, ``--trials``;
+it writes text only.  ``dim`` and ``sweep`` run on one class polynomial
+engine that ``--cache`` preloads and that is saved when the run ends.
+
 Exit codes: 0 ok, 2 usage or configuration problem, 3 integrity failure,
 4 property violation in a sweep, 5 search budget exhausted.  A reader that
 closes stdout early (``adlv sweep ... | head``) ends the run quietly with
@@ -11,7 +19,8 @@ The class polynomial disk cache is a one-line JSON header followed by one
 record per element, ``ClassPolyTable.jsonable()`` as JSON.  A file whose
 header does not match the run is neither read nor written.  A record that
 is not JSON, that ``ClassPolyTable.from_jsonable`` rejects, or whose element
-literal does not parse is skipped.  The tables finished before a run
+literal does not parse is skipped.  New records are appended; only a missing
+or empty file gets the header first.  The tables finished before a run
 exhausts its budget or its reader closes stdout are saved too.  The
 environment variable ``ADLV_CACHE`` names the cache when ``--cache`` is not
 given; ``--cache`` wins when both are set.
@@ -20,11 +29,11 @@ given; ``--cache`` wins when both are set.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -34,11 +43,13 @@ from .elements import (
     DiagramAut,
     element_literal,
     elements_of_length,
+    identity,
     omega_group,
     parse_element,
     translation,
 )
 from .conjugacy import (
+    DEFAULT_BUDGET,
     enumerate_straight_classes,
     is_superstraight_class,
     kottwitz_class,
@@ -64,54 +75,31 @@ EXIT_VIOLATIONS = 4
 EXIT_BUDGET = 5
 
 
-@dataclass
-class JobConfig:
-    type_label: str
-    delta_images: tuple[int, ...] | None
-    fmt: str = "text"
-    cache: str | None = None
-    seed: int = 0
-    budget: int = 10**6
-
-    def datum(self):
-        return build_root_datum(self.type_label)
-
-    def delta(self):
-        datum = self.datum()
-        if self.delta_images is None:
-            return DiagramAut.identity(datum)
-        if len(self.delta_images) != datum.rank:
-            raise ConfigError("delta spec must list an image for every simple label")
-        return DiagramAut.from_one_based(datum, self.delta_images)
+def _datum_delta(args):
+    """The root datum of ``--type`` and the diagram automorphism of ``--delta``."""
+    images = None
+    if args.delta is not None:
+        tokens = args.delta.replace(" ", "").split(",")
+        try:
+            images = tuple(int(tok) for tok in tokens if tok)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse delta spec {args.delta!r}") from exc
+    datum = build_root_datum(args.type)
+    if images is None:
+        return datum, DiagramAut.identity(datum)
+    if len(images) != datum.rank:
+        raise ConfigError("delta spec must list an image for every simple label")
+    return datum, DiagramAut.from_one_based(datum, images)
 
 
-def _parse_delta_arg(text: str | None):
-    if text is None:
-        return None
-    try:
-        return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse delta spec {text!r}") from exc
-
-
-def _config_from_args(args) -> JobConfig:
-    cache = getattr(args, "cache", None) or os.environ.get("ADLV_CACHE") or None
-    return JobConfig(
-        type_label=args.type,
-        delta_images=_parse_delta_arg(getattr(args, "delta", None)),
-        fmt=getattr(args, "format", "text"),
-        cache=cache,
-        seed=getattr(args, "seed", 0),
-        budget=getattr(args, "budget", 10**6),
-    )
-
-
-def parse_b(datum, delta, text: str) -> BElement:
+def parse_b(datum, delta, text: str):
+    """``--b`` text as (representative, class); ``unit``, ``1``, ``e`` are 1."""
     text = text.strip()
     if text in ("unit", "1", "e"):
-        return BElement.unit(datum, delta)
-    rep = parse_element(datum, text)
-    return BElement.from_element(rep, delta, label=text)
+        rep, text = identity(datum), "unit"
+    else:
+        rep = parse_element(datum, text)
+    return rep, BElement.from_element(rep, delta, label=text)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +176,21 @@ class TableCache:
                 continue
             self._preexisting.add(elt)
             new_records.append(ClassPolyTable(element_literal(elt), table).jsonable())
-        fresh = not os.path.exists(self.path) or not self.loaded
-        mode = "a"
-        if fresh:
-            mode = "w"
-        with open(self.path, mode, encoding="utf-8") as fh:
-            if fresh:
+        with open(self.path, "a", encoding="utf-8") as fh:
+            if not fh.tell():  # a new or empty file starts with the header
                 fh.write(json.dumps(self.header, sort_keys=True) + "\n")
             for record in new_records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+@contextmanager
+def _engine(args, datum, delta):
+    """A class polynomial engine preloaded from the cache, saved after the block."""
+    cache = TableCache(args.cache or os.environ.get("ADLV_CACHE") or None, datum, delta)
+    engine = ClassPolyEngine(datum, delta, budget=args.budget)
+    cache.preload(engine)
+    with cache.saving(engine):
+        yield engine
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +198,7 @@ class TableCache:
 
 
 def cmd_classify(args) -> int:
-    config = _config_from_args(args)
-    datum = config.datum()
-    delta = config.delta()
+    datum, delta = _datum_delta(args)
     rows = []
     for rep, desc in enumerate_straight_classes(datum, delta, args.max_length):
         rows.append(
@@ -220,7 +212,7 @@ def cmd_classify(args) -> int:
             }
         )
     out = sys.stdout
-    if config.fmt == "json":
+    if args.format == "json":
         json.dump({"schema_version": SCHEMA_VERSION, "classes": rows}, out,
                   sort_keys=True)
         out.write("\n")
@@ -244,24 +236,19 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    config = _config_from_args(args)
-    datum = config.datum()
-    delta = config.delta()
+    datum, delta = _datum_delta(args)
     w = parse_element(datum, args.w, strict_reduced=args.strict_reduced)
-    b = parse_b(datum, delta, args.b)
-    cache = TableCache(config.cache, datum, delta)
-    engine = ClassPolyEngine(datum, delta, budget=config.budget)
-    cache.preload(engine)
-    with cache.saving(engine):
+    _, b = parse_b(datum, delta, args.b)
+    with _engine(args, datum, delta) as engine:
         if args.emit_trace:
-            _, trace = reduce_to_minimal(w, delta, budget=config.budget)
+            _, trace = reduce_to_minimal(w, delta, budget=args.budget)
             for line in trace.format_lines():
                 sys.stdout.write(line + "\n")
         profile = DimProfile(w, delta, engine)
         report = profile.report(b)
         if (b.is_basic or args.defect is not None) and profile.kappa == b.kappa:
             report.virtual_dim = profile.virtual(b, defect=args.defect)
-    if config.fmt == "json":
+    if args.format == "json":
         json.dump(report.jsonable(), sys.stdout, sort_keys=True)
         sys.stdout.write("\n")
     else:
@@ -278,132 +265,107 @@ def cmd_dim(args) -> int:
     return EXIT_OK
 
 
+def cmd_sweep(args) -> int:
+    """Write each row of the check, then the skip and violation counts.
+
+    A check yields its header and then its rows; the last field of a row is
+    its status, ``skip``, or ``VIOLATION`` (``NO`` for path independence)
+    when the statement fails.
+    """
+    datum, delta = _datum_delta(args)
+    check = {
+        "ghkr": _ghkr_rows,
+        "upper": _ghkr_rows,
+        "path-independence": _path_independence_rows,
+        "mazur": _mazur_rows,
+        "closed-form": _closed_form_rows,
+    }[args.check]
+    skipped = violations = 0
+    out = sys.stdout
+    with _engine(args, datum, delta) as engine:
+        if args.b == "basic-all":
+            b_set = _basic_b_set(datum, delta)
+        else:
+            b_set = [parse_b(datum, delta, tok) for tok in args.b.split(";") if tok]
+        for row in check(args, datum, delta, engine, b_set):
+            skipped += row[-1] == "skip"
+            violations += row[-1] in ("VIOLATION", "NO")
+            out.write("\t".join(map(str, row)) + "\n")
+    out.write(f"# skipped: {skipped}\n")
+    out.write(f"# violations: {violations}\n")
+    return EXIT_OK if violations == 0 else EXIT_VIOLATIONS
+
+
 def _sweep_elements(datum, max_length):
     for n in range(max_length + 1):
         yield from elements_of_length(datum, n)
 
 
 def _basic_b_set(datum, delta):
+    """One (tau, class) pair per basic class, tau of length 0."""
     out = {}
     for tau in omega_group(datum):
         b = BElement.from_element(tau, delta, label=element_literal(tau))
-        out.setdefault(b.descriptor, b)
+        out.setdefault(b.descriptor, (tau, b))
     return list(out.values())
 
 
-def cmd_sweep(args) -> int:
-    config = _config_from_args(args)
-    datum = config.datum()
-    delta = config.delta()
-    cache = TableCache(config.cache, datum, delta)
-    engine = ClassPolyEngine(datum, delta, budget=config.budget)
-    cache.preload(engine)
-    violations = 0
-    skipped = 0
-    out = sys.stdout
-    check = args.check
+def _path_independence_rows(args, datum, delta, engine, b_set):
+    yield "element", "length", "ok"
+    for w in _sweep_elements(datum, args.max_length):
+        report = verify_path_independence(
+            w, delta, trials=args.trials, seed=args.seed, engine=engine
+        )
+        yield element_literal(w), w.length, "yes" if report.ok else "NO"
 
-    if args.b == "basic-all":
-        b_set = _basic_b_set(datum, delta)
-    else:
-        b_set = [parse_b(datum, delta, tok) for tok in args.b.split(";") if tok]
 
-    with cache.saving(engine):
-        if check == "path-independence":
-            out.write("element\tlength\tok\n")
-            for w in _sweep_elements(datum, args.max_length):
-                report = verify_path_independence(
-                    w, delta, trials=args.trials, seed=config.seed, engine=engine
-                )
-                ok = report.ok
-                if not ok:
-                    violations += 1
-                out.write(
-                    f"{element_literal(w)}\t{w.length}\t{'yes' if ok else 'NO'}\n"
-                )
-        elif check in ("ghkr", "upper"):
-            out.write("element\tb\tdim\tvirtual\tstatus\n")
-            for w in _sweep_elements(datum, args.max_length):
-                profile = DimProfile(w, delta, engine)
-                for b in b_set:
-                    report = profile.ghkr(b)
-                    status = "skip"
-                    if check == "ghkr":
-                        if report.equality_applicable:
-                            status = "equal" if report.equality_holds else "VIOLATION"
-                    elif report.upper_applicable:
-                        status = "ok" if report.upper_holds else "VIOLATION"
-                    if status == "VIOLATION":
-                        violations += 1
-                    if status == "skip":
-                        skipped += 1
-                    virt = "-" if report.virtual is None else report.virtual
-                    out.write(
-                        f"{report.element}\t{b.label}\t{report.dim}\t{virt}\t{status}\n"
-                    )
-        elif check == "mazur":
-            out.write("mu\tb\tmazur\tnonempty\tstatus\n")
-            J = tuple(range(1, datum.rank + 1))
-            for mu in _dominant_box(datum, args.max_length):
-                for b in b_set:
-                    tau = parse_element(datum, b.label)
-                    claim = mazur_check(mu, tau, J, delta)
-                    truth = dim_grassmannian(
-                        mu, b, delta, engine=engine, cross_check=False
-                    ).nonempty
-                    ok = claim == truth
-                    if not ok:
-                        violations += 1
-                    out.write(
-                        f"{list(mu)}\t{b.label}\t{claim}\t{truth}\t"
-                        f"{'ok' if ok else 'VIOLATION'}\n"
-                    )
-        elif check == "closed-form":
-            out.write("mu\tb\tdim\tclosed_form\tstatus\n")
-            for mu in _dominant_box(datum, args.max_length):
-                for b in b_set:
-                    report = dim_grassmannian(mu, b, delta, engine=engine)
-                    closed = _grassmannian_closed_form(datum, mu, b, delta)
-                    ok = (report.dim == EMPTY and closed is None) or (
-                        report.dim != EMPTY
-                        and closed is not None
-                        and report.dim == closed
-                    )
-                    if not ok:
-                        violations += 1
-                    out.write(
-                        f"{list(mu)}\t{b.label}\t{report.dim}\t"
-                        f"{'-' if closed is None else closed}\t"
-                        f"{'ok' if ok else 'VIOLATION'}\n"
-                    )
-        else:  # pragma: no cover - argparse restricts choices
-            raise ConfigError(f"unknown check {check!r}")
+def _ghkr_rows(args, datum, delta, engine, b_set):
+    """dim = virtual dim (``ghkr``) or dim <= virtual dim (``upper``)."""
+    yield "element", "b", "dim", "virtual", "status"
+    for w in _sweep_elements(datum, args.max_length):
+        profile = DimProfile(w, delta, engine)
+        for _, b in b_set:
+            report = profile.ghkr(b)
+            status = "skip"
+            if args.check == "ghkr":
+                if report.equality_applicable:
+                    status = "equal" if report.equality_holds else "VIOLATION"
+            elif report.upper_applicable:
+                status = "ok" if report.upper_holds else "VIOLATION"
+            virt = "-" if report.virtual is None else report.virtual
+            yield report.element, b.label, report.dim, virt, status
 
-    out.write(f"# skipped: {skipped}\n")
-    out.write(f"# violations: {violations}\n")
-    return EXIT_OK if violations == 0 else EXIT_VIOLATIONS
+
+def _mazur_rows(args, datum, delta, engine, b_set):
+    """Mazur's inequality against nonemptiness of X_mu(b) in the Grassmannian."""
+    yield "mu", "b", "mazur", "nonempty", "status"
+    J = tuple(range(1, datum.rank + 1))
+    for mu in _dominant_box(datum, args.max_length):
+        for tau, b in b_set:
+            claim = mazur_check(mu, tau, J, delta)
+            truth = dim_grassmannian(
+                mu, b, delta, engine=engine, cross_check=False
+            ).nonempty
+            status = "ok" if claim == truth else "VIOLATION"
+            yield list(mu), b.label, claim, truth, status
+
+
+def _closed_form_rows(args, datum, delta, engine, b_set):
+    yield "mu", "b", "dim", "closed_form", "status"
+    for mu in _dominant_box(datum, args.max_length):
+        for _, b in b_set:
+            dim = dim_grassmannian(mu, b, delta, engine=engine).dim
+            closed = _grassmannian_closed_form(datum, mu, b, delta)
+            expected = EMPTY if closed is None else closed
+            status = "ok" if dim == expected else "VIOLATION"
+            yield list(mu), b.label, dim, "-" if closed is None else closed, status
 
 
 def _dominant_box(datum, pairing_bound):
-    """Dominant coweights with <mu, 2 rho> at most the bound."""
-    out = []
-
-    def rec(prefix, i):
-        if i == datum.rank:
-            mu = tuple(prefix)
-            if 0 < len(mu):
-                out.append(mu)
-            return
-        c = 0
-        while True:
-            mu_try = tuple(prefix + [c] + [0] * (datum.rank - i - 1))
-            if sum(a * b for a, b in zip(datum.rho2, mu_try)) > pairing_bound:
-                break
-            rec(prefix + [c], i + 1)
-            c += 1
-
-    rec([], 0)
-    return sorted(set(out))
+    """Dominant coweights with <mu, 2 rho> at most the bound, in lexicographic order."""
+    rho2 = datum.rho2
+    box = itertools.product(*(range(pairing_bound // r + 1) for r in rho2))
+    return [mu for mu in box if sum(r * m for r, m in zip(rho2, mu)) <= pairing_bound]
 
 
 def _grassmannian_closed_form(datum, mu, b, delta):
@@ -432,24 +394,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *, fmt, engine):
         p.add_argument("--type", required=True, help="type label, e.g. A2 or A1xA1")
         p.add_argument(
             "--delta",
             help="diagram automorphism as comma-separated images of 1..rank",
         )
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--cache", help="class polynomial cache file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=10**6)
+        if fmt:
+            p.add_argument("--format", choices=("text", "json"), default="text")
+        if engine:
+            p.add_argument("--cache", help="class polynomial cache file")
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("classify", help="list straight classes up to a length bound")
-    common(p)
+    common(p, fmt=True, engine=False)
     p.add_argument("--max-length", type=int, required=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("dim", help="dimension of one X_w(b)")
-    common(p)
+    common(p, fmt=True, engine=True)
     p.add_argument("--w", required=True, help="element literal")
     p.add_argument("--b", required=True, help="'unit', 'tau^k', or an element literal")
     p.add_argument("--defect", type=int, help="explicit defect for non-basic b")
@@ -458,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("sweep", help="bulk property checks with a violation count")
-    common(p)
+    common(p, fmt=False, engine=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-length", type=int, required=True)
     p.add_argument("--b", default="basic-all", help="'basic-all' or ';'-separated literals")
     p.add_argument(

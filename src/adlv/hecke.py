@@ -27,7 +27,7 @@ from .elements import (
     reduced_word,
     simple_reflections,
 )
-from .conjugacy import _moves, class_key
+from .conjugacy import DEFAULT_BUDGET, _moves, class_key
 
 __all__ = [
     "XiPoly",
@@ -173,20 +173,7 @@ class XiPoly:
         return not self.is_zero
 
     def format_xi(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}"
-                power = "ξ" if k == 1 else f"ξ^{k}"
-                parts.append(head + power)
-        return " + ".join(parts)
+        return _format_terms(reversed(tuple(enumerate(self.coeffs))), "ξ")
 
     def v_coefficients(self) -> dict[int, int]:
         """Coefficients in Z[v, v^{-1}] after substituting xi = v - v^{-1}."""
@@ -342,7 +329,7 @@ class ClassPolyEngine:
     """
 
     def __init__(self, datum: RootDatum, delta: DiagramAut | None = None,
-                 choose=None, budget: int = 10**6):
+                 choose=None, budget: int = DEFAULT_BUDGET):
         self.datum = datum
         self.delta = coerce_delta(datum, delta)
         self.choose = choose

@@ -1,6 +1,7 @@
 """Command-line surface: output shapes, exit codes, cache behavior."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -369,3 +370,63 @@ def test_closed_stdout_keeps_the_finished_tables(tmp_path, capsys):
     assert code == 0
     _, uncached, _ = run(capsys, *args)
     assert cached == uncached
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("--type", "C2", "--check", "upper"), "sweep-C2-upper-6.tsv"),
+        (("--type", "C2", "--check", "mazur"), "sweep-C2-mazur-6.tsv"),
+        (("--type", "A2", "--check", "closed-form"), "sweep-A2-closed-form-6.tsv"),
+    ],
+    ids=["upper", "mazur", "closed-form"],
+)
+def test_sweep_check_output_is_pinned(capsys, argv, golden):
+    code, out, err = run(capsys, "sweep", "--max-length", "6", *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("unit", ["unit", "1", "e"])
+def test_sweep_mazur_with_the_unit_b(capsys, unit):
+    args = ("sweep", "--type", "C2", "--max-length", "6", "--check", "mazur")
+    code, out, err = run(capsys, *args, "--b", unit)
+    assert (code, err) == (0, "")
+    _, literal, _ = run(capsys, *args, "--b", "t[0,0]")
+    rows = [line.split("\t") for line in out.splitlines()]
+    literal_rows = [line.split("\t") for line in literal.splitlines()]
+    assert len(rows) > 3 and {row[1] for row in rows[1:-2]} == {"unit"}
+    assert [row[:1] + row[2:] for row in rows] == [row[:1] + row[2:] for row in literal_rows]
+
+
+def test_cache_save_keeps_the_lines_it_skipped(tmp_path, capsys):
+    args = ("dim", "--type", "A1", "--w", "w[0]", "--b", "unit")
+    cache = tmp_path / "tables.jsonl"
+    run(capsys, *args, "--cache", str(cache))
+    lines = cache.read_text().splitlines()
+    assert len(lines) > 1
+    kept = [lines[0], "garbage!!", '{"element": "t[0]", "table": {"t[0]": 5}}']
+    cache.write_text("\n".join(kept) + "\n")
+    code, _, _ = run(capsys, *args, "--cache", str(cache))
+    assert code == 0
+    assert cache.read_text().splitlines() == kept + lines[1:]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--type", "A1", "--max-length", "0", "--cache", "tables.jsonl"),
+        ("classify", "--type", "A1", "--max-length", "0", "--seed", "1"),
+        ("classify", "--type", "A1", "--max-length", "0", "--budget", "5"),
+        ("dim", "--type", "A1", "--w", "w[0]", "--b", "unit", "--seed", "1"),
+        ("sweep", "--type", "A1", "--max-length", "0", "--format", "json"),
+    ],
+    ids=["classify-cache", "classify-seed", "classify-budget", "dim-seed", "sweep-format"],
+)
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err

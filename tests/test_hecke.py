@@ -385,3 +385,11 @@ def test_class_polynomials_rejects_engine_of_other_delta():
         verify_path_independence(x, [2, 1], engine=ClassPolyEngine(a2))
     twisted = ClassPolyEngine(a2, flip)
     assert class_polynomials(x, [2, 1], engine=twisted) == class_polynomials(x, flip)
+
+
+def test_format_xi_signs_units_and_powers():
+    assert XiPoly((-1, 1)).format_xi() == "ξ - 1"
+    assert XiPoly((0, -2)).format_xi() == "-2ξ"
+    assert XiPoly((1, 0, -1, 1)).format_xi() == "ξ^3 - ξ^2 + 1"
+    assert XiPoly((-3,)).format_xi() == "-3"
+    assert XiPoly((2, 1, 0, 4)).format_xi() == "4ξ^3 + ξ + 2"
