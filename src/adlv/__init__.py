@@ -80,6 +80,7 @@ from .dimension import (
     dim_grassmannian,
     format_q_poly,
     ghkr_check,
+    grassmannian_closed_form,
     mazur_check,
     point_count_superbasic_a,
     virtual_dimension,

@@ -5,7 +5,9 @@ options they read.  ``classify``: ``--max-length``, ``--format``.  ``dim``:
 ``--w``, ``--b``, ``--format``, ``--cache``, ``--budget``, ``--defect``,
 ``--emit-trace``, ``--strict-reduced``.  ``sweep``: ``--max-length``,
 ``--check``, ``--b``, ``--cache``, ``--budget``, ``--seed``, ``--trials``;
-it writes text only.  ``dim`` and ``sweep`` run on one class polynomial
+it writes text only, and each row ends in ``skip`` where the statement of
+the check does not apply, else in the check's pass or fail word
+(``SWEEP_CHECKS``).  ``dim`` and ``sweep`` run on one class polynomial
 engine that ``--cache`` preloads and that is saved when the run ends.
 
 Exit codes: 0 ok, 2 usage or configuration problem, 3 integrity failure,
@@ -34,7 +36,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import __version__
 from .errors import BudgetError, ConfigError, IntegrityError
@@ -46,13 +47,11 @@ from .elements import (
     identity,
     omega_group,
     parse_element,
-    translation,
 )
 from .conjugacy import (
     DEFAULT_BUDGET,
     enumerate_straight_classes,
     is_superstraight_class,
-    kottwitz_class,
     reduce_to_minimal,
 )
 from .hecke import ClassPolyEngine, ClassPolyTable, verify_path_independence
@@ -60,8 +59,8 @@ from .dimension import (
     EMPTY,
     BElement,
     DimProfile,
-    defect_basic,
     dim_grassmannian,
+    grassmannian_closed_form,
     mazur_check,
 )
 
@@ -266,20 +265,15 @@ def cmd_dim(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Write each row of the check, then the skip and violation counts.
+    """Write the rows of the check with their status, then the skip and
+    violation counts.
 
-    A check yields its header and then its rows; the last field of a row is
-    its status, ``skip``, or ``VIOLATION`` (``NO`` for path independence)
-    when the statement fails.
+    A check yields its header, then each row's fields (``None`` prints as
+    ``-``) and last whether the row's statement holds: ``None`` where it does
+    not apply, which is ``skip``, else the check's pass or fail word.
     """
     datum, delta = _datum_delta(args)
-    check = {
-        "ghkr": _ghkr_rows,
-        "upper": _ghkr_rows,
-        "path-independence": _path_independence_rows,
-        "mazur": _mazur_rows,
-        "closed-form": _closed_form_rows,
-    }[args.check]
+    check, passed, failed = SWEEP_CHECKS[args.check]
     skipped = violations = 0
     out = sys.stdout
     with _engine(args, datum, delta) as engine:
@@ -287,10 +281,14 @@ def cmd_sweep(args) -> int:
             b_set = _basic_b_set(datum, delta)
         else:
             b_set = [parse_b(datum, delta, tok) for tok in args.b.split(";") if tok]
-        for row in check(args, datum, delta, engine, b_set):
-            skipped += row[-1] == "skip"
-            violations += row[-1] in ("VIOLATION", "NO")
-            out.write("\t".join(map(str, row)) + "\n")
+        rows = check(args, datum, delta, engine, b_set)
+        out.write("\t".join(next(rows)) + "\n")
+        for *fields, holds in rows:
+            status = "skip" if holds is None else passed if holds else failed
+            skipped += status == "skip"
+            violations += status == failed
+            line = "\t".join("-" if f is None else str(f) for f in fields)
+            out.write(f"{line}\t{status}\n")
     out.write(f"# skipped: {skipped}\n")
     out.write(f"# violations: {violations}\n")
     return EXIT_OK if violations == 0 else EXIT_VIOLATIONS
@@ -316,7 +314,7 @@ def _path_independence_rows(args, datum, delta, engine, b_set):
         report = verify_path_independence(
             w, delta, trials=args.trials, seed=args.seed, engine=engine
         )
-        yield element_literal(w), w.length, "yes" if report.ok else "NO"
+        yield element_literal(w), w.length, report.ok
 
 
 def _ghkr_rows(args, datum, delta, engine, b_set):
@@ -326,28 +324,23 @@ def _ghkr_rows(args, datum, delta, engine, b_set):
         profile = DimProfile(w, delta, engine)
         for _, b in b_set:
             report = profile.ghkr(b)
-            status = "skip"
-            if args.check == "ghkr":
-                if report.equality_applicable:
-                    status = "equal" if report.equality_holds else "VIOLATION"
-            elif report.upper_applicable:
-                status = "ok" if report.upper_holds else "VIOLATION"
-            virt = "-" if report.virtual is None else report.virtual
-            yield report.element, b.label, report.dim, virt, status
+            holds = report.equality_holds if args.check == "ghkr" else report.upper_holds
+            yield report.element, b.label, report.dim, report.virtual, holds
 
 
 def _mazur_rows(args, datum, delta, engine, b_set):
-    """Mazur's inequality against nonemptiness of X_mu(b) in the Grassmannian."""
+    """Mazur's inequality against nonemptiness of X_mu(b) in the Grassmannian;
+    with J every finite label, the inequality applies to basic b only."""
     yield "mu", "b", "mazur", "nonempty", "status"
     J = tuple(range(1, datum.rank + 1))
     for mu in _dominant_box(datum, args.max_length):
         for tau, b in b_set:
-            claim = mazur_check(mu, tau, J, delta)
+            claim = mazur_check(mu, tau, J, delta) if b.is_basic else None
             truth = dim_grassmannian(
                 mu, b, delta, engine=engine, cross_check=False
             ).nonempty
-            status = "ok" if claim == truth else "VIOLATION"
-            yield list(mu), b.label, claim, truth, status
+            holds = None if claim is None else claim == truth
+            yield list(mu), b.label, claim, truth, holds
 
 
 def _closed_form_rows(args, datum, delta, engine, b_set):
@@ -355,10 +348,10 @@ def _closed_form_rows(args, datum, delta, engine, b_set):
     for mu in _dominant_box(datum, args.max_length):
         for _, b in b_set:
             dim = dim_grassmannian(mu, b, delta, engine=engine).dim
-            closed = _grassmannian_closed_form(datum, mu, b, delta)
-            expected = EMPTY if closed is None else closed
-            status = "ok" if dim == expected else "VIOLATION"
-            yield list(mu), b.label, dim, "-" if closed is None else closed, status
+            closed = grassmannian_closed_form(mu, b, delta)
+            holds = None if closed is None else dim == closed
+            # the column shows an empty variety as it shows no formula
+            yield list(mu), b.label, dim, None if closed is EMPTY else closed, holds
 
 
 def _dominant_box(datum, pairing_bound):
@@ -368,18 +361,14 @@ def _dominant_box(datum, pairing_bound):
     return [mu for mu in box if sum(r * m for r, m in zip(rho2, mu)) <= pairing_bound]
 
 
-def _grassmannian_closed_form(datum, mu, b, delta):
-    """<mu - nu_b, rho> - def(b)/2 for the untwisted basic case, else None."""
-    if not delta.is_identity or not b.is_basic:
-        return None
-    if kottwitz_class(translation(datum, mu), delta) != b.kappa:
-        return None
-    half = Fraction(1, 2)
-    pair = sum(
-        Fraction(r) * (Fraction(m) - nb)
-        for r, m, nb in zip(datum.rho2, mu, b.newton)
-    )
-    return half * pair - half * defect_basic(b, delta)
+# each check's rows, and the status of a row whose statement holds or fails
+SWEEP_CHECKS = {
+    "ghkr": (_ghkr_rows, "equal", "VIOLATION"),
+    "upper": (_ghkr_rows, "ok", "VIOLATION"),
+    "path-independence": (_path_independence_rows, "yes", "NO"),
+    "mazur": (_mazur_rows, "ok", "VIOLATION"),
+    "closed-form": (_closed_form_rows, "ok", "VIOLATION"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default="basic-all", help="'basic-all' or ';'-separated literals")
     p.add_argument(
         "--check",
-        choices=("ghkr", "upper", "path-independence", "mazur", "closed-form"),
+        choices=tuple(SWEEP_CHECKS),
         default="ghkr",
     )
     p.add_argument("--trials", type=int, default=3)
@@ -451,10 +440,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetError as exc:

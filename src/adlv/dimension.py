@@ -61,6 +61,7 @@ __all__ = [
     "DimProfile",
     "dim_adlv",
     "dim_grassmannian",
+    "grassmannian_closed_form",
     "mazur_check",
     "defect_basic",
     "virtual_dimension",
@@ -482,6 +483,24 @@ def dim_grassmannian(
     )
 
 
+def grassmannian_closed_form(mu, b: BElement, delta: DiagramAut | None = None):
+    """dim X_mu(b) by the closed form of Görtz, Haines, Kottwitz and Reuman.
+
+    ``EMPTY`` when kappa(t^mu) differs from kappa(b), for any twist and any b;
+    <mu - nu_b, rho> - def(b)/2 for the identity twist and basic b; ``None``
+    wherever no formula is implemented.
+    """
+    delta = coerce_delta(b.datum, delta)
+    if not is_dominant(mu):
+        raise ValueError("coweight must be dominant")
+    if kottwitz_class(translation(b.datum, mu), delta) != b.kappa:
+        return EMPTY
+    if not delta.is_identity or not b.is_basic:
+        return None
+    pairing = Fraction(dot(b.datum.rho2, mu)) - b.newton_pairing_2rho
+    return (pairing - defect_basic(b, delta)) / 2
+
+
 # ---------------------------------------------------------------------------
 # The nonemptiness criterion on the Grassmannian
 
@@ -602,12 +621,9 @@ def virtual_dimension(
     delta: DiagramAut | None = None,
     defect: int | None = None,
 ) -> Fraction:
-    """(len(w) + len(eta(w)) - def(b)) / 2 - <nu_b, rho>.
-
-    Requires the Kottwitz classes of w and b to agree; the defect is computed
-    for basic b and must be supplied explicitly otherwise.  A view of
-    ``DimProfile(w, delta).virtual(b, defect)``, which reads no table.
-    """
+    """(len(w) + len(eta(w)) - def(b)) / 2 - <nu_b, rho> for w and b of one
+    Kottwitz class: ``DimProfile(w, delta).virtual(b, defect)``, which reads
+    no table and needs ``defect`` for non-basic b."""
     return DimProfile(w, delta).virtual(b, defect)
 
 
@@ -618,12 +634,8 @@ def ghkr_check(
     engine: ClassPolyEngine | None = None,
 ) -> GhkrReport:
     """Compare the true dimension against the virtual dimension:
-    ``DimProfile(w, delta, engine).ghkr(b)``.
-
-    The lower bound applies to basic b and elements of the lowest two-sided
-    cell whose finite invariant has full support; the upper bound applies to
-    the untwisted case.  Failed hypotheses are recorded, never raised.
-    """
+    ``DimProfile(w, delta, engine).ghkr(b)``, which records where each bound
+    applies and never raises on a failed hypothesis."""
     return DimProfile(w, delta, engine).ghkr(b)
 
 

@@ -370,28 +370,44 @@ class ClassPolyEngine:
             self.nodes += walk.nodes
 
     def table(self, x: ExtAffElt) -> dict[str, XiPoly]:
-        if x in self.memo:
-            return self.memo[x]
-        options = self._descent_options(x, first_only=self.choose is None)
-        if not options:
-            result = {class_key(x, self.delta): XiPoly.ONE}
-        else:
-            w1, lab = options[0] if self.choose is None else self.choose(options)
-            refl = simple_reflections(self.datum)
-            down = refl[lab] * w1  # length(x) - 1
-            down2 = down * refl[self.delta.on_label(lab)]  # length(x) - 2
-            if not (down.length == x.length - 1 and down2.length == x.length - 2):
-                raise IntegrityError("descent option does not drop as required")
-            ta = self.table(down)
-            tb = self.table(down2)
-            result = {}
-            for key, poly in ta.items():
-                result[key] = poly.shift()
-            for key, poly in tb.items():
-                result[key] = result.get(key, XiPoly.ZERO) + poly
-            result = {k: v for k, v in result.items() if not v.is_zero}
-        self.memo[x] = result
-        return result
+        """The class polynomials of x, by the descent recursion on a work stack.
+
+        An element's options are read when it first reaches the top of the
+        stack, and the whole subtree of ``down`` finishes before ``down2`` is
+        looked up, as in the recursion; so the memo, the calls to ``choose``
+        and ``nodes`` are the recursion's, at any depth.
+        """
+        memo = self.memo
+        if x in memo:
+            return memo[x]
+        refl = simple_reflections(self.datum)
+        stack = [[x, None]]  # [element, (down, down2) once its options are read]
+        while stack:
+            frame = stack[-1]
+            y, children = frame
+            if children is None:
+                options = self._descent_options(y, first_only=self.choose is None)
+                if not options:
+                    memo[y] = {class_key(y, self.delta): XiPoly.ONE}
+                    stack.pop()
+                    continue
+                w1, lab = options[0] if self.choose is None else self.choose(options)
+                down = refl[lab] * w1  # length(y) - 1
+                down2 = down * refl[self.delta.on_label(lab)]  # length(y) - 2
+                if not (down.length == y.length - 1 and down2.length == y.length - 2):
+                    raise IntegrityError("descent option does not drop as required")
+                children = frame[1] = (down, down2)
+            for child in children:
+                if child not in memo:
+                    stack.append([child, None])
+                    break
+            else:
+                result = {key: poly.shift() for key, poly in memo[children[0]].items()}
+                for key, poly in memo[children[1]].items():
+                    result[key] = result.get(key, XiPoly.ZERO) + poly
+                memo[y] = {k: v for k, v in result.items() if not v.is_zero}
+                stack.pop()
+        return memo[x]
 
 
 def class_polynomials(

@@ -430,3 +430,37 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("--type", "A2", "--delta", "2,1", "--max-length", "6", "--check", "closed-form"),
+         "sweep-A2-twisted-closed-form-6.tsv"),
+        (("--type", "A2", "--max-length", "4", "--check", "closed-form", "--b", "t[1,0]"),
+         "sweep-A2-closed-form-4-non-basic.tsv"),
+        (("--type", "A2", "--max-length", "4", "--check", "mazur", "--b", "unit;t[1,0]"),
+         "sweep-A2-mazur-4-unit-and-non-basic.tsv"),
+    ],
+    ids=["closed-form-twisted", "closed-form-non-basic", "mazur-non-basic"],
+)
+def test_sweep_skips_rows_where_the_statement_does_not_apply(capsys, argv, golden):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+    assert "VIOLATION" not in out and "\tskip\n" in out
+
+
+def test_sweep_mazur_keeps_the_unit_rows_beside_a_non_basic_b(capsys):
+    args = ("sweep", "--type", "A2", "--max-length", "4", "--check", "mazur")
+    _, unit, _ = run(capsys, *args, "--b", "unit")
+    _, both, _ = run(capsys, *args, "--b", "unit;t[1,0]")
+    unit_rows = unit.splitlines()[1:-2]
+    assert unit_rows and [row for row in both.splitlines() if "\tunit\t" in row] == unit_rows
+
+
+def test_dim_of_an_element_deeper_than_the_recursion_limit(capsys):
+    # length 2099: a descent recursion this deep overflows Python's stack
+    code, out, err = run(capsys, "dim", "--type", "A1", "--w", "t[2100]*s1", "--b", "unit")
+    assert (code, err) == (0, "")
+    assert "dim: 1050\n" in out

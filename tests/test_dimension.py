@@ -26,6 +26,7 @@ from adlv.dimension import (
     dim_grassmannian,
     format_q_poly,
     ghkr_check,
+    grassmannian_closed_form,
     mazur_check,
     point_count_superbasic_a,
     virtual_dimension,
@@ -312,3 +313,53 @@ def test_reports_render_exact_values_for_json():
             for key in ("dim", "virtual_dim"):
                 assert type(out[key]) in (int, str, type(None))
             json.dumps(out)
+
+
+def _classes(datum, delta, literals=()):
+    """One b per basic class, from the length-0 elements, then the given literals."""
+    out = {}
+    for x in list(omega_group(datum)) + [parse_element(datum, t) for t in literals]:
+        b = BElement.from_element(x, delta)
+        out.setdefault(b.descriptor, b)
+    return list(out.values())
+
+
+@pytest.mark.parametrize(
+    "label,delta,bound,non_basic",
+    [
+        ("A1", None, 8, ["t[1]"]),
+        ("A2", None, 10, ["t[1,0]", "t[1,1]"]),
+        ("C2", None, 8, ["t[1,0]"]),
+        ("G2", None, 14, ["t[1,0]"]),
+        ("A3", None, 10, ["t[1,0,0]"]),
+        ("A2", [2, 1], 8, ["t[1,1]", "t[1,0]"]),
+    ],
+)
+def test_grassmannian_closed_form_against_the_dimension(label, delta, bound, non_basic):
+    datum = build_root_datum(label)
+    engine = ClassPolyEngine(datum, delta)
+    classes = _classes(datum, delta, non_basic)
+    assert any(not b.is_basic for b in classes)
+    rho2 = datum.rho2
+    box = itertools.product(*(range(bound // r + 1) for r in rho2))
+    formulas = 0
+    for mu in (m for m in box if dot(rho2, m) <= bound):
+        kappa = kottwitz_class(translation(datum, mu), delta)
+        for b in classes:
+            closed = grassmannian_closed_form(mu, b, delta)
+            if kappa != b.kappa:
+                assert closed is EMPTY, (mu, b.label)
+            elif delta is None and b.is_basic:
+                assert closed not in (None, EMPTY), (mu, b.label)
+                formulas += 1
+            else:
+                assert closed is None, (mu, b.label)
+            if closed is not None:
+                dim = dim_grassmannian(mu, b, delta, engine=engine, cross_check=False).dim
+                assert closed == dim, (mu, b.label)
+    assert (formulas > 0) == (delta is None)
+
+
+def test_grassmannian_closed_form_rejects_a_coweight_that_is_not_dominant(a2):
+    with pytest.raises(ValueError, match="dominant"):
+        grassmannian_closed_form((1, -1), BElement.unit(a2))

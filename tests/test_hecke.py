@@ -393,3 +393,63 @@ def test_format_xi_signs_units_and_powers():
     assert XiPoly((1, 0, -1, 1)).format_xi() == "ξ^3 - ξ^2 + 1"
     assert XiPoly((-3,)).format_xi() == "-3"
     assert XiPoly((2, 1, 0, 4)).format_xi() == "4ξ^3 + ξ + 2"
+
+
+# --- the work stack of the descent recursion ----------------------------------
+
+
+def _recursive_table(engine, x):
+    """The descent recursion written as a recursion, on ``engine``'s memo and
+    orbit searches: the oracle of the work stack in ``ClassPolyEngine.table``."""
+    if x in engine.memo:
+        return engine.memo[x]
+    options = engine._descent_options(x, first_only=engine.choose is None)
+    if not options:
+        result = {class_key(x, engine.delta): XiPoly.ONE}
+    else:
+        w1, lab = options[0] if engine.choose is None else engine.choose(options)
+        refl = simple_reflections(engine.datum)
+        down = refl[lab] * w1
+        down2 = down * refl[engine.delta.on_label(lab)]
+        ta = _recursive_table(engine, down)
+        tb = _recursive_table(engine, down2)
+        result = {key: poly.shift() for key, poly in ta.items()}
+        for key, poly in tb.items():
+            result[key] = result.get(key, XiPoly.ZERO) + poly
+        result = {k: v for k, v in result.items() if not v.is_zero}
+    engine.memo[x] = result
+    return result
+
+
+@pytest.mark.parametrize(
+    "label,images,max_length",
+    [("A2", None, 10), ("C2", None, 12), ("G2", None, 14), ("A2", [2, 1], 10)],
+)
+@pytest.mark.parametrize("seed", [None, 5], ids=["first-option", "seeded-random"])
+def test_table_stack_matches_the_recursion(label, images, max_length, seed):
+    # longest elements first, so each table runs a deep subtree on a cold memo
+    datum, delta = _twist(label, images)
+    seen = {"stack": [], "recursion": []}
+
+    def chooser(side):
+        if seed is None:
+            return None
+        rng = random.Random(seed)
+
+        def choose(options):
+            seen[side].append(list(options))
+            return rng.choice(options)
+
+        return choose
+
+    stack = ClassPolyEngine(datum, delta, chooser("stack"))
+    recursion = ClassPolyEngine(datum, delta, chooser("recursion"))
+    for n in reversed(range(max_length + 1)):
+        for w in elements_of_length(datum, n):
+            assert stack.table(w) == _recursive_table(recursion, w)
+            assert stack.nodes == recursion.nodes
+    assert [(x, list(t.items())) for x, t in stack.memo.items()] == [
+        (x, list(t.items())) for x, t in recursion.memo.items()
+    ]
+    assert seen["stack"] == seen["recursion"]
+    assert (seed is None) == (not seen["stack"])

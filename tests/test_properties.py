@@ -4,13 +4,21 @@ Each example draws an element x and a conjugator z of the extended affine
 Weyl group, as an Omega element times a word in the affine simple
 reflections.  The tests check that the class of x does not see the twisted
 conjugation x -> z x delta(z)^{-1}, and that the length and the lowest-cell
-test of x and of its conjugate agree with their test-only oracles.
+test of x and of its conjugate agree with their test-only oracles, that the
+reduction of the conjugate to minimal length replays and keeps the
+invariant of x at every step, and that the class polynomials of x do not
+depend on the descent path.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adlv.conjugacy import class_key, same_conjugacy_class
+from adlv.conjugacy import (
+    class_key,
+    invariant_f,
+    reduce_to_minimal,
+    same_conjugacy_class,
+)
 from adlv.elements import (
     coerce_delta,
     is_lowest_cell,
@@ -18,6 +26,7 @@ from adlv.elements import (
     omega_group,
     simple_reflections,
 )
+from adlv.hecke import verify_path_independence
 from adlv.roots import build_root_datum
 
 from test_elements import _lowest_cell_by_quotients, hyperplane_length
@@ -63,14 +72,14 @@ def _pair(label, images, x_word, z_word, data):
     return delta, x, z * x * delta(z).inverse()
 
 
-def _long_pair(label, images, z_word, data):
+def _long_pair(label, images, z_word, data, words=LONG_WORDS):
     """Like ``_pair``, with x an Omega element times a reduced word, each
     letter drawn among those that lengthen it."""
     datum = build_root_datum(label)
     delta = coerce_delta(datum, images)
     refl = simple_reflections(datum).values()
     x = _element(datum, data.draw(st.integers(0, 8), label="omega"), [])
-    for k in data.draw(LONG_WORDS, label="word"):
+    for k in data.draw(words, label="word"):
         longer = [s for s in refl if (s * x).length > x.length]
         x = longer[k % len(longer)] * x
     z = _draw(data, datum, z_word)
@@ -111,3 +120,33 @@ def test_lowest_cell_agrees_with_the_quotient_walk(label, images, x_word, z_word
     _, x, y = _long_pair(label, images, z_word, data)
     assert is_lowest_cell(x) == _lowest_cell_by_quotients(x)
     assert is_lowest_cell(y) == _lowest_cell_by_quotients(y)
+
+
+@pytest.mark.parametrize("label,images,x_word,z_word", CASES)
+@SETTINGS
+@given(data=st.data())
+def test_reduction_trace_replays_and_keeps_the_invariant(label, images, x_word, z_word, data):
+    # x of length x_word: reducing its conjugates past that length costs
+    # seconds on D4, and one reduction serves both properties
+    words = st.lists(st.integers(0, 8), min_size=x_word, max_size=x_word)
+    delta, x, y = _long_pair(label, images, z_word, data, words)
+    m, trace = reduce_to_minimal(y, delta)
+    assert trace.terminal == m
+    assert trace.replay(y, delta)
+    fx = invariant_f(x, delta)
+    assert invariant_f(y, delta) == fx
+    assert all(invariant_f(step.after, delta) == fx for step in trace.steps)
+
+
+@pytest.mark.parametrize("label,images,x_word,z_word", CASES)
+@SETTINGS
+@given(data=st.data())
+def test_class_polynomials_do_not_depend_on_the_descent_path(
+    label, images, x_word, z_word, data
+):
+    datum = build_root_datum(label)
+    delta = coerce_delta(datum, images)
+    x = _draw(data, datum, x_word)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    report = verify_path_independence(x, delta, trials=3, seed=seed)
+    assert report.ok, report.divergences
