@@ -31,6 +31,7 @@ given; ``--cache`` wins when both are set.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import itertools
 import json
 import os
@@ -119,6 +120,7 @@ class TableCache:
         self.loaded = {}  # element -> table, from the records that parse
         self._preexisting: set = set()  # elements the file holds a record of
         self._foreign = False  # the file belongs to another run: leave it be
+        self._header_read = False  # the file began with this run's header
         if path and os.path.exists(path):
             self._read(path)
 
@@ -138,6 +140,7 @@ class TableCache:
         if header != self.header:
             self._foreign = True
             return
+        self._header_read = True
         for line in lines[1:]:
             try:  # JSON, record and literal errors are all ValueErrors
                 record = ClassPolyTable.from_jsonable(json.loads(line))
@@ -167,19 +170,41 @@ class TableCache:
         self.save(engine)
 
     def save(self, engine: ClassPolyEngine):
+        """Append the engine's new tables to the file as one write, under an
+        exclusive ``flock``.
+
+        A new or empty file gets the header first, and a batch after a torn
+        last line starts on a line of its own, so a crashed or concurrent
+        writer costs at most its own unfinished line.  A file that was new
+        or empty when it was read, and that another run has since given its
+        own header, is left to that run.
+        """
         if not self.path or self._foreign:
             return
-        new_records = []
+        header = json.dumps(self.header, sort_keys=True) + "\n"
+        lines = []
         for elt, table in engine.memo.items():
             if elt in self._preexisting:
                 continue
             self._preexisting.add(elt)
-            new_records.append(ClassPolyTable(element_literal(elt), table).jsonable())
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if not fh.tell():  # a new or empty file starts with the header
-                fh.write(json.dumps(self.header, sort_keys=True) + "\n")
-            for record in new_records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            record = ClassPolyTable(element_literal(elt), table).jsonable()
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd closes
+            size = os.fstat(fd).st_size
+            if not size:
+                lines.insert(0, header)
+            elif not self._header_read and os.pread(fd, len(header), 0) != header.encode():
+                self._foreign = True
+                return
+            elif lines and os.pread(fd, 1, size - 1) != b"\n":
+                lines.insert(0, "\n")
+            data = "".join(lines).encode("utf-8")
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
 
 
 @contextmanager

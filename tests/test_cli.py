@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from adlv.cli import main
-from adlv.elements import parse_element
-from adlv.hecke import ClassPolyEngine, class_polynomials
+from adlv.elements import elements_of_length, parse_element
+from adlv.hecke import ClassPolyEngine, ClassPolyTable, class_polynomials
 from adlv.roots import build_root_datum
 
 
@@ -464,3 +464,88 @@ def test_dim_of_an_element_deeper_than_the_recursion_limit(capsys):
     code, out, err = run(capsys, "dim", "--type", "A1", "--w", "t[2100]*s1", "--b", "unit")
     assert (code, err) == (0, "")
     assert "dim: 1050\n" in out
+
+
+def test_cache_save_after_a_torn_last_line_keeps_every_new_record(tmp_path, capsys):
+    from adlv.cli import TableCache
+    from adlv.elements import DiagramAut
+
+    a2 = build_root_datum("A2")
+    delta = DiagramAut.identity(a2)
+    cache = tmp_path / "tables.jsonl"
+    run(capsys, "dim", "--type", "A2", "--w", "s1", "--b", "unit", "--cache", str(cache))
+    with open(cache, "a") as fh:
+        fh.write('{"element": "t[0,0]*s2", "tab')  # a writer that crashed
+    engine = ClassPolyEngine(a2, delta)
+    store = TableCache(str(cache), a2, delta)
+    store.preload(engine)
+    new = [parse_element(a2, lit) for lit in ("s1*s2", "s2*s1", "w[0 1]")]
+    for x in new:
+        engine.table(x)
+    store.save(engine)
+    assert TableCache(str(cache), a2, delta).loaded == engine.memo
+    assert all(x in engine.memo for x in new)
+
+
+def test_cache_header_written_by_another_run_since_the_read_is_left_intact(tmp_path):
+    # two runs of different types start on one missing file: the one that
+    # saves second finds the other's header and appends nothing
+    from adlv.cli import TableCache
+    from adlv.elements import DiagramAut
+
+    cache = tmp_path / "tables.jsonl"
+    runs = []
+    for label in ("A2", "A3"):
+        datum = build_root_datum(label)
+        delta = DiagramAut.identity(datum)
+        engine = ClassPolyEngine(datum, delta)
+        engine.table(parse_element(datum, "s1*s2"))
+        runs.append((TableCache(str(cache), datum, delta), engine))
+    runs[0][0].save(runs[0][1])
+    before = cache.read_bytes()
+    runs[1][0].save(runs[1][1])
+    assert cache.read_bytes() == before
+
+
+def test_concurrent_cache_writers_leave_whole_lines_and_one_header(tmp_path):
+    import fcntl
+    import os
+    import subprocess
+    import sys
+    import time
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    cache = tmp_path / "tables.jsonl"
+    fd = os.open(cache, os.O_RDWR | os.O_CREAT)
+    try:
+        # while the file is locked, both writers reach their save and wait
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "adlv.cli", "sweep", "--type", "A2",
+                 "--max-length", str(n), "--check", "ghkr", "--cache", str(cache)],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            for n in (5, 6)
+        ]
+        time.sleep(0.5)
+        assert cache.read_bytes() == b""
+    finally:
+        os.close(fd)
+    for proc in procs:
+        err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 0, err
+    text = cache.read_text()
+    assert text.endswith("\n")
+    lines = [json.loads(line) for line in text.splitlines()]
+    headers = [line for line in lines if "schema_version" in line]
+    assert headers == [lines[0]]
+    records = [ClassPolyTable.from_jsonable(line) for line in lines[1:]]
+    a2 = build_root_datum("A2")
+    assert {parse_element(a2, r.element) for r in records} == {
+        w for n in range(7) for w in elements_of_length(a2, n)
+    }

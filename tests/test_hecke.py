@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from adlv.cli import main
+from adlv.errors import BudgetError
 from adlv.roots import build_root_datum
 from adlv.elements import (
     DiagramAut,
+    OrbitWalk,
     demazure_product,
     elements_of_length,
     identity,
@@ -453,3 +456,112 @@ def test_table_stack_matches_the_recursion(label, images, max_length, seed):
     ]
     assert seen["stack"] == seen["recursion"]
     assert (seed is None) == (not seen["stack"])
+
+
+# --- searches and descents shared by an engine and its forks --------------------
+
+
+def _memo_items(engine):
+    return [(x, list(table.items())) for x, table in engine.memo.items()]
+
+
+def _logging_chooser(log, seed):
+    rng = random.Random(seed)
+
+    def choose(options):
+        log.append(list(options))
+        return rng.choice(options)
+
+    return choose
+
+
+@pytest.mark.parametrize(
+    "label,images,max_length",
+    [("A2", None, 7), ("C2", None, 8), ("G2", None, 10), ("A2", [2, 1], 6)],
+)
+def test_forks_that_share_searches_match_engines_that_share_nothing(
+    label, images, max_length
+):
+    # as in verify_path_independence: one base engine, and for each element
+    # new forks with seeded random choosers; beside them, engines that share
+    # nothing run the recursion oracle with the same choosers
+    datum, delta = _twist(label, images)
+    shared_log, alone_log = [], []
+    base = ClassPolyEngine(datum, delta)
+    base_alone = ClassPolyEngine(datum, delta)
+    for n in range(max_length + 1):
+        for w in elements_of_length(datum, n):
+            assert base.table(w) == _recursive_table(base_alone, w)
+            assert base.nodes == base_alone.nodes
+            for t in (1, 2):
+                seed = f"{t}:{w!r}"
+                fork = base.fork(_logging_chooser(shared_log, seed))
+                alone = ClassPolyEngine(datum, delta, _logging_chooser(alone_log, seed))
+                assert fork.table(w) == _recursive_table(alone, w)
+                assert fork.nodes == alone.nodes
+                assert _memo_items(fork) == _memo_items(alone)
+    assert _memo_items(base) == _memo_items(base_alone)
+    assert shared_log == alone_log and shared_log
+
+
+def _long_search(datum, budget):
+    """An element whose full orbit search takes more than ``budget`` nodes."""
+    probe = ClassPolyEngine(datum)
+    for n in range(2, 7):
+        for w in elements_of_length(datum, n):
+            before = probe.nodes
+            probe._descent_options(w, first_only=False)
+            if probe.nodes - before > budget:
+                return w, probe.nodes - before
+    raise AssertionError("no search is long enough")
+
+
+def test_search_that_ran_out_of_budget_is_not_stored():
+    a2 = build_root_datum("A2")
+    x, _ = _long_search(a2, 3)
+    engine = ClassPolyEngine(a2, budget=3)
+    for _ in range(2):
+        before = engine.nodes
+        with pytest.raises(BudgetError, match="3-node budget"):
+            engine._descent_options(x, first_only=False)
+        assert engine.nodes - before == 4
+    assert (x, False) not in engine._searches
+
+
+def test_replay_of_a_search_longer_than_a_lowered_budget_raises():
+    a2 = build_root_datum("A2")
+    x, size = _long_search(a2, 3)
+    engine = ClassPolyEngine(a2)
+    options = engine._descent_options(x, first_only=False)
+    engine.budget = size - 1
+    fresh = ClassPolyEngine(a2, budget=size - 1)
+    for probe in (engine, fresh):
+        before = probe.nodes
+        with pytest.raises(BudgetError, match=f"{size - 1}-node budget"):
+            probe._descent_options(x, first_only=False)
+        assert probe.nodes - before == size
+    engine.budget = size
+    before = engine.nodes
+    assert engine._descent_options(x, first_only=False) == options
+    assert engine.nodes - before == size
+
+
+def test_path_independence_walks_each_search_once(monkeypatch, capsys):
+    walks, searches = [], []
+    walk, descent_options = OrbitWalk.walk, ClassPolyEngine._descent_options
+
+    def counting_walk(self, level):
+        if self.phase == "class polynomial search":
+            walks.append(level)
+        return walk(self, level)
+
+    def recording_options(self, x, first_only):
+        searches.append((x, first_only))
+        return descent_options(self, x, first_only)
+
+    monkeypatch.setattr(OrbitWalk, "walk", counting_walk)
+    monkeypatch.setattr(ClassPolyEngine, "_descent_options", recording_options)
+    assert main(["sweep", "--type", "A2", "--max-length", "6",
+                 "--check", "path-independence", "--trials", "3"]) == 0
+    capsys.readouterr()
+    assert len(walks) == len(set(searches)) < len(searches)

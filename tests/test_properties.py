@@ -150,3 +150,15 @@ def test_class_polynomials_do_not_depend_on_the_descent_path(
     seed = data.draw(st.integers(0, 2**16), label="seed")
     report = verify_path_independence(x, delta, trials=3, seed=seed)
     assert report.ok, report.divergences
+
+
+@SETTINGS
+@given(data=st.data())
+def test_class_polynomials_of_twisted_e6_do_not_depend_on_the_descent_path(data):
+    # beside CASES, so the class-key properties do not scan E6 length levels
+    datum = build_root_datum("E6")
+    delta = coerce_delta(datum, [6, 2, 5, 4, 3, 1])
+    x = _draw(data, datum, 6)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    report = verify_path_independence(x, delta, trials=3, seed=seed)
+    assert report.ok, report.divergences
