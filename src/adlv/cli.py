@@ -270,7 +270,7 @@ def cmd_dim(args) -> int:
                 sys.stdout.write(line + "\n")
         profile = DimProfile(w, delta, engine)
         report = profile.report(b)
-        if (b.is_basic or args.defect is not None) and profile.kappa == b.kappa:
+        if (args.defect is not None or b.defect_known) and profile.kappa == b.kappa:
             report.virtual_dim = profile.virtual(b, defect=args.defect)
     if args.format == "json":
         json.dump(report.jsonable(), sys.stdout, sort_keys=True)
@@ -396,6 +396,17 @@ SWEEP_CHECKS = {
 }
 
 
+def _int_from(low):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type when ``int`` fails
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adlv",
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("text", "json"), default="text")
         if engine:
             p.add_argument("--cache", help="class polynomial cache file")
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+            p.add_argument("--budget", type=_int_from(0), default=DEFAULT_BUDGET)
 
     p = sub.add_parser("classify", help="list straight classes up to a length bound")
     common(p, fmt=True, engine=False)
@@ -444,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(SWEEP_CHECKS),
         default="ghkr",
     )
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=_int_from(2), default=3)
     p.set_defaults(func=cmd_sweep)
     return parser
 

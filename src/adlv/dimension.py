@@ -35,7 +35,6 @@ from .elements import (
     is_lowest_cell,
     omega_group,
     omega_conjugation_perm,
-    simple_reflections,
     supp_delta,
     translation,
 )
@@ -45,7 +44,6 @@ from .conjugacy import (
     _perm_orbits,
     class_info,
     invariant_f,
-    is_minimal_in_class,
     kottwitz_class,
     kottwitz_quotient,
     newton_point,
@@ -88,8 +86,11 @@ class BElement:
     depend only on the class, so each is computed once per instance and kept
     (``functools.cached_property`` stores it in the instance dict, outside the
     dataclass fields, so ``==`` and ``hash`` are unchanged).  A computation
-    that raises is not cached.  Use ``defect_basic``, which checks its inputs
-    on every call, to read the defect.
+    that raises is not cached.  ``is_basic`` and the defect read one length-0
+    tau of b's Kottwitz class; for basic b = [tau] on an irreducible type,
+    def(b) = #(delta-orbits on S) - #(Ad(tau) o delta-orbits on S~) + 1
+    (Kottwitz, Compositio Math. 109, 1997; Tits, Corvallis 1979).  Read it
+    with ``defect_basic``, which checks its inputs on every call.
     """
 
     datum: RootDatum
@@ -143,57 +144,32 @@ class BElement:
         return Fraction(dot(self.datum.rho2, self.newton))
 
     @cached_property
-    def is_basic(self) -> bool:
-        """Newton vector matches the length-0 class with the same Kottwitz class."""
-        delta = self.delta
+    def _tau(self) -> ExtAffElt:
+        """The first element of ``omega_group`` in b's Kottwitz class."""
         for tau in omega_group(self.datum):
-            if kottwitz_class(tau, delta) == self.kappa:
-                tau_value = dot(self.datum.rho2, newton_point(tau, delta))
-                return self.newton_pairing_2rho == tau_value
+            if kottwitz_class(tau, self.delta) == self.kappa:
+                return tau
         raise IntegrityError("no length-0 element matches the Kottwitz class")
 
     @cached_property
+    def is_basic(self) -> bool:
+        """Newton vector matches the length-0 class with the same Kottwitz class."""
+        tau_value = dot(self.datum.rho2, newton_point(self._tau, self.delta))
+        return self.newton_pairing_2rho == tau_value
+
+    @property
+    def defect_known(self) -> bool:
+        """Whether ``defect_basic`` gives def(b): b is basic, on an irreducible type."""
+        return len(self.datum.components) == 1 and self.is_basic
+
+    @cached_property
     def _defect(self) -> int:
-        """The twisted-Coxeter defect search of ``defect_basic``, unchecked."""
-        datum = self.datum
+        """The orbit count of ``defect_basic``, unchecked.  Any tau of the class
+        gives the same count: two of them are delta-conjugate in Omega."""
         delta = self.delta
-        tau = None
-        for cand in omega_group(datum):
-            if invariant_f(cand, delta) == self.descriptor:
-                tau = cand
-                break
-        if tau is None:
-            raise ValueError("no length-0 representative matches the class")
-        phi = _ad_delta_perm(tau, delta)
-        refl = simple_reflections(datum)
-        lengths = set()
-        for removed in _perm_orbits(phi):
-            J = [lab for lab in phi if lab not in removed]
-            choices = _perm_orbits({j: phi[j] for j in J})
-            for reps in itertools.product(*choices):
-                for order in itertools.permutations(reps):
-                    c = from_weyl(datum.identity_weyl)
-                    for lab in order:
-                        c = c * refl[lab]
-                    if c.length != len(order):
-                        raise IntegrityError("twisted Coxeter word is not reduced")
-                    ctau = c * tau
-                    if invariant_f(ctau, delta) != self.descriptor:
-                        continue
-                    if not is_minimal_in_class(ctau, delta):
-                        continue
-                    lengths.add(c.length)
-                    break
-                else:
-                    continue
-                break
-        if not lengths:
-            raise IntegrityError("no twisted Coxeter element matches the basic class")
-        if len(lengths) != 1:
-            raise IntegrityError(f"twisted Coxeter lengths disagree: {sorted(lengths)}")
-        finite = range(1, datum.rank + 1)
-        n = len(_perm_orbits({i: delta.on_label(i) for i in finite}))
-        return n - lengths.pop()
+        finite = {i: delta.on_label(i) for i in range(1, self.datum.rank + 1)}
+        affine = _ad_delta_perm(self._tau, delta)
+        return len(_perm_orbits(finite)) - len(_perm_orbits(affine)) + 1
 
 
 @dataclass(frozen=True)
@@ -355,7 +331,7 @@ class DimProfile:
         """(len(w) + len(eta(w)) - def(b)) / 2 - <nu_b, rho>.
 
         Requires the Kottwitz classes of w and b to agree; the defect is
-        computed for basic b and must be supplied explicitly otherwise.
+        computed where ``b.defect_known`` and must be supplied otherwise.
         """
         if self.kappa != b.kappa:
             raise ValueError("Kottwitz classes of the element and b differ")
@@ -371,17 +347,17 @@ class DimProfile:
     def ghkr(self, b: BElement) -> GhkrReport:
         """Compare the true dimension against the virtual dimension.
 
-        The lower bound applies to basic b and elements of the lowest
-        two-sided cell whose finite invariant has full support; the upper
-        bound applies to the untwisted case.  Failed hypotheses are recorded,
-        never raised.
+        Both bounds need def(b), known for basic b on an irreducible type; the
+        lower one also needs w in the lowest two-sided cell with a finite
+        invariant of full support, the upper one no twist.  Failed hypotheses
+        are recorded, never raised.
         """
         report = self.report(b)
         kappa_match = self.kappa == b.kappa
-        basic = kappa_match and b.is_basic
-        virtual = self.virtual(b) if basic else None
-        lower_applicable = basic and self._lower_cell
-        upper_applicable = basic and self.delta.is_identity
+        known = kappa_match and b.defect_known
+        virtual = self.virtual(b) if known else None
+        lower_applicable = known and self._lower_cell
+        upper_applicable = known and self.delta.is_identity
         lower_holds = (report.dim >= virtual) if lower_applicable else None
         upper_holds = (report.dim <= virtual) if upper_applicable else None
         equality_applicable = lower_applicable and upper_applicable
@@ -487,15 +463,15 @@ def grassmannian_closed_form(mu, b: BElement, delta: DiagramAut | None = None):
     """dim X_mu(b) by the closed form of Görtz, Haines, Kottwitz and Reuman.
 
     ``EMPTY`` when kappa(t^mu) differs from kappa(b), for any twist and any b;
-    <mu - nu_b, rho> - def(b)/2 for the identity twist and basic b; ``None``
-    wherever no formula is implemented.
+    <mu - nu_b, rho> - def(b)/2 for the identity twist and basic b on an
+    irreducible type; ``None`` wherever no formula is implemented.
     """
     delta = coerce_delta(b.datum, delta)
     if not is_dominant(mu):
         raise ValueError("coweight must be dominant")
     if kottwitz_class(translation(b.datum, mu), delta) != b.kappa:
         return EMPTY
-    if not delta.is_identity or not b.is_basic:
+    if not delta.is_identity or not b.defect_known:
         return None
     pairing = Fraction(dot(b.datum.rho2, mu)) - b.newton_pairing_2rho
     return (pairing - defect_basic(b, delta)) / 2
@@ -593,15 +569,14 @@ def _ad_delta_perm(tau: ExtAffElt, delta: DiagramAut) -> dict[int, int]:
 
 
 def defect_basic(b: BElement, delta: DiagramAut | None = None) -> int:
-    """Defect of a basic class via twisted Coxeter elements.
+    """Defect of a basic class b = [tau] on an irreducible type,
+    def(b) = rank_F G - rank_F J_b (Kottwitz, "Isocrystals with additional
+    structure. II", Compositio Math. 109, 1997).  The relative local Dynkin
+    diagram of J_tau has one vertex per Ad(tau) o delta-orbit on S~ (Tits,
+    "Reductive groups over local fields", Corvallis 1979), so
+    def(b) = #(delta-orbits on S) - #(Ad(tau) o delta-orbits on S~) + 1.
 
-    For the length-0 representative tau, every maximal proper subset of the
-    affine labels stable under conjugation-by-tau composed with delta admits
-    a twisted Coxeter element c with c tau minimal in its class and carrying
-    the invariant of b; the defect is the number of delta-orbits on the
-    finite labels minus len(c), and all successful choices must agree.
-
-    The search runs once per ``BElement`` and is kept on it; the checks on
+    The count runs once per ``BElement`` and is kept on it; the checks on
     the type, the twist and basicness run on every call.
     """
     datum = b.datum

@@ -549,3 +549,54 @@ def test_concurrent_cache_writers_leave_whole_lines_and_one_header(tmp_path):
     assert {parse_element(a2, r.element) for r in records} == {
         w for n in range(7) for w in elements_of_length(a2, n)
     }
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("dim", "--type", "A1xA1", "--w", "s1*s2", "--b", "unit"), "dim-A1xA1-unit.txt"),
+        (("sweep", "--type", "A1xA1", "--max-length", "2", "--check", "closed-form"),
+         "sweep-A1xA1-closed-form-2.tsv"),
+        (("sweep", "--type", "A1xA1", "--delta", "2,1", "--max-length", "2",
+          "--check", "upper"), "sweep-A1xA1-twisted-upper-2.tsv"),
+    ],
+    ids=["dim", "closed-form", "upper-twisted"],
+)
+def test_reducible_type_runs_without_a_defect(capsys, argv, golden):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+    assert "virtual_dim" not in out and "VIOLATION" not in out
+
+
+def test_reducible_type_ghkr_sweep_skips_every_row(capsys):
+    code, out, err = run(capsys, "sweep", "--type", "A1xA1", "--max-length", "2")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:-2]
+    assert rows and all(row.endswith("\t-\tskip") for row in rows)
+    assert out.endswith(f"# skipped: {len(rows)}\n# violations: 0\n")
+
+
+def test_reducible_type_dim_with_an_explicit_defect(capsys):
+    args = ("dim", "--type", "A1xA1", "--w", "s1*s2", "--b", "unit")
+    code, out, _ = run(capsys, *args, "--defect", "0")
+    assert code == 0
+    assert out == (GOLDEN / "dim-A1xA1-unit.txt").read_text(encoding="utf-8") + "virtual_dim: 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "--type", "A2", "--max-length", "2", "--check", "path-independence",
+          "--trials", "1"), "argument --trials: must be at least 2, got 1"),
+        (("dim", "--type", "A1", "--w", "w[0]", "--b", "unit", "--budget", "-1"),
+         "argument --budget: must be at least 0, got -1"),
+        (("sweep", "--type", "A2", "--max-length", "2", "--budget", "-5"),
+         "argument --budget: must be at least 0, got -5"),
+    ],
+    ids=["trials", "dim-budget", "sweep-budget"],
+)
+def test_out_of_range_counts_are_usage_errors_before_any_output(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err

@@ -67,7 +67,7 @@ def reference_report(w, b, delta, engine):
 def reference_ghkr(w, b, delta, engine):
     dim = reference_report(w, b, delta, engine).dim
     kappa_match = kottwitz_class(w, delta) == b.kappa
-    basic = kappa_match and b.is_basic
+    basic = kappa_match and b.is_basic and len(w.datum.components) == 1
     virtual = lower = None
     if basic:
         eta = eta_delta(w, delta)

@@ -119,6 +119,19 @@ def test_cached_defect_still_checks_twist(a2):
         defect_basic(b, (2, 1))
 
 
+def test_reducible_type_has_no_known_defect():
+    datum = build_root_datum("A1xA1")
+    unit = BElement.unit(datum)
+    assert unit.is_basic and not unit.defect_known
+    report = ghkr_check(parse_element(datum, "s1*s2"), unit)
+    assert report.dim == 2 and report.virtual is None
+    assert not (report.lower_applicable or report.upper_applicable)
+    assert grassmannian_closed_form((0, 0), unit) is None
+    assert grassmannian_closed_form((1, 0), unit) == EMPTY
+    with pytest.raises(ValueError, match="irreducible type"):
+        virtual_dimension(parse_element(datum, "s1*s2"), unit)
+
+
 def test_virtual_dimension_fixtures(a1):
     unit = BElement.unit(a1)
     assert virtual_dimension(parse_element(a1, "w[0 1 0]"), unit) == 2
